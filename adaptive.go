@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/demand"
 	"repro/internal/pool"
@@ -96,27 +97,31 @@ type AdaptRunOptions struct {
 	TraceID string
 }
 
-// AdaptiveSystem is the request-driven adaptive caching variant: a static
-// fair placement is seeded once, then a live request stream drives
-// popularity estimates and periodic adaptation passes that re-place the
-// most mispositioned chunks through delta updates to the solver's shared
-// cost model. Unlike the Solver that created it, an AdaptiveSystem is a
+// AdaptiveSystem is the fair-caching placement engine for one topology:
+// one cost model (a warm fork of the creating Solver's topology model),
+// one cache state and the holder lists, which every mutation acts on in
+// place. Publications place arriving chunks and expire stale ones; a live
+// request stream drives popularity estimates and adaptation passes that
+// re-place the most mispositioned chunks; Load installs a committed
+// state. Unlike the Solver that created it, an AdaptiveSystem is a
 // mutable stream consumer and is NOT safe for concurrent use; callers
 // (the server's per-topology worker) serialize access.
 type AdaptiveSystem struct {
-	sys  *demand.System
-	topo *Topology
-	name string
+	sys      *demand.System
+	topo     *Topology
+	name     string
+	capacity int
 	// tracer is the creating Solver's span ring, shared so adaptation
 	// passes land next to solve spans under one sampling knob.
 	tracer *trace.Tracer
 }
 
-// NewAdaptive builds and seeds an adaptive caching system on the
-// solver's topology: chunk ids [0, chunks) are placed once by the fair
-// caching approximation (warm-forking the solver's topology cost model,
-// so repeat systems skip the cold all-pairs build), ready to serve and
-// adapt to a request stream.
+// NewAdaptive builds an adaptive caching system on the solver's topology
+// and seeds it: chunk ids [0, chunks) are placed once by the fair caching
+// approximation (warm-forking the solver's topology cost model, so repeat
+// systems skip the cold all-pairs build), ready to serve and adapt to a
+// request stream. chunks = 0 builds an empty engine, ready for Load or
+// Publish.
 func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *AdaptiveOptions) (*AdaptiveSystem, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -147,35 +152,117 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 	default:
 		return nil, fmt.Errorf("%w: unknown eviction strategy %q", ErrBadArgument, o.Eviction)
 	}
+	co := core.DefaultOptions()
+	co.Workers = o.Workers
+	a, err := s.newAdaptive(ctx, producer, chunks, o.Capacity, costmodel.Options{FairnessWeight: o.FairnessWeight}, co, demand.Options{
+		Eviction:   strat,
+		HitRadius:  o.HitRadius,
+		TopDelta:   o.TopDelta,
+		CopyBudget: o.CopyBudget,
+	})
+	if err != nil {
+		return nil, err
+	}
+	a.name = o.Eviction
+	if chunks > 0 {
+		if err := a.sys.SeedCtx(ctx); err != nil {
+			return nil, fmt.Errorf("faircache: %w", err)
+		}
+	}
+	return a, nil
+}
 
-	pl := pool.New(pool.Normalize(o.Workers))
+// newAdaptive builds an unseeded engine over a warm fork of the solver's
+// topology model with uniform per-node capacity.
+func (s *Solver) newAdaptive(ctx context.Context, producer, chunks, capacity int, mo costmodel.Options, co core.Options, do demand.Options) (*AdaptiveSystem, error) {
+	pl := pool.New(pool.Normalize(co.Workers))
 	defer pl.Close()
 	var dead trace.Span
 	bm, err := s.baseModel(ctx, pl, &dead)
 	if err != nil {
 		return nil, err
 	}
-	st := cache.NewState(s.topo.g.NumNodes(), o.Capacity)
-	m, err := bm.ForkCtx(ctx, pl, st, costmodel.Options{FairnessWeight: o.FairnessWeight})
+	m, err := bm.ForkCtx(ctx, pl, cache.NewState(s.topo.g.NumNodes(), capacity), mo)
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
-	sys, err := demand.New(s.topo.g, producer, chunks, demand.Options{
-		FairnessWeight: o.FairnessWeight,
-		Workers:        o.Workers,
-		Eviction:       strat,
-		HitRadius:      o.HitRadius,
-		TopDelta:       o.TopDelta,
-		CopyBudget:     o.CopyBudget,
-		Model:          m,
-	})
+	sys, err := demand.New(m, producer, chunks, co, do)
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
-	if err := sys.SeedCtx(ctx); err != nil {
+	return &AdaptiveSystem{sys: sys, topo: s.topo, capacity: capacity, tracer: s.tracer}, nil
+}
+
+// Publish places the next chunk id against the current placement after
+// expiring published chunks whose lifetime has passed (every copy goes,
+// whoever placed it). chunkTTL is the arrival's lifetime with
+// Options.ChunkTTL semantics: 0 lives one capacity-worth of publications,
+// a positive value that many, a negative value forever. The context
+// governs the placement iteration; a cancelled publication is not placed,
+// but its chunk id, clock tick and expiries stand.
+func (a *AdaptiveSystem) Publish(ctx context.Context, chunkTTL int) (*Publication, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ttl := chunkTTL
+	if ttl == 0 {
+		ttl = a.capacity
+	}
+	res, expired, err := a.sys.PublishCtx(ctx, ttl)
+	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
-	return &AdaptiveSystem{sys: sys, topo: s.topo, name: o.Eviction, tracer: s.tracer}, nil
+	return &Publication{
+		Chunk:      res.Chunk,
+		Time:       a.sys.Publications(),
+		CacheNodes: append([]int(nil), res.CacheNodes...),
+		Expired:    expired,
+	}, nil
+}
+
+// Snapshot returns a deep copy of the engine's placement state — the
+// shape Load accepts back.
+func (a *AdaptiveSystem) Snapshot() *OnlineSnapshot {
+	holders := make(map[int][]int)
+	for k, hs := range a.sys.Placement() {
+		if len(hs) > 0 {
+			holders[k] = hs
+		}
+	}
+	from, to := a.sys.Expired()
+	return &OnlineSnapshot{
+		Clock:       a.sys.Publications(),
+		Published:   a.sys.Chunks(),
+		Holders:     holders,
+		Counts:      a.Counts(),
+		Expiry:      a.sys.Expiry(),
+		ExpiredFrom: from,
+		ExpiredTo:   to,
+	}
+}
+
+// Load sets the engine to a committed state — the one way a serving
+// layer installs a solve, recovers a logged state or rolls back a
+// mutation it could not make durable. The chunk-id space becomes
+// snap.Published; snap.Counts is derived and ignored. Only the placement
+// moves: popularity estimates and counters carry over. An invalid state
+// (holders out of range, over capacity, on the producer) fails with
+// ErrBadArgument and leaves the engine unchanged.
+func (a *AdaptiveSystem) Load(snap *OnlineSnapshot) error {
+	if snap.Published < 0 {
+		return fmt.Errorf("%w: negative chunk-id space %d", ErrBadArgument, snap.Published)
+	}
+	holders := make([][]int, snap.Published)
+	for k, hs := range snap.Holders {
+		if k < 0 || k >= snap.Published {
+			return fmt.Errorf("%w: chunk %d outside [0,%d)", ErrBadArgument, k, snap.Published)
+		}
+		holders[k] = hs
+	}
+	if err := a.sys.Load(holders, snap.Clock, snap.Expiry, snap.ExpiredFrom, snap.ExpiredTo); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadArgument, err)
+	}
+	return nil
 }
 
 // Report ingests a batch of request events: each is served by its

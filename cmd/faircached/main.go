@@ -1,7 +1,9 @@
 // Command faircached is the fair-caching placement daemon: it serves the
 // internal/server placement service over HTTP/JSON. Topologies are
-// registered, solved, published to and queried over the /v1 API; health
-// and expvar counters live on /healthz and /debug/vars.
+// registered, solved, published to and queried over the /v1 API. Each
+// topology keeps one placement: a publish places the next chunk id
+// against the last solve's (or adaptation's) copies instead of replacing
+// them. Health lives on /healthz and Prometheus metrics on /metrics.
 //
 // Examples:
 //
@@ -235,12 +237,12 @@ func runInspect(w io.Writer, dir string) error {
 	}
 	fmt.Fprintf(w, "recovered state: nextID=%d topologies=%d\n", st.NextID, len(st.Topologies))
 	for _, ts := range st.Topologies {
-		version, chunks := 1, 0
+		version, clock, chunks := 1, 0, 0
 		if ts.Snap != nil {
-			version, chunks = ts.Snap.Version, ts.Snap.Chunks
+			version, clock, chunks = ts.Snap.Version, ts.Snap.Clock, ts.Snap.Chunks
 		}
 		fmt.Fprintf(w, "  %s kind=%s producer=%d capacity=%d version=%d clock=%d chunks=%d\n",
-			ts.ID, ts.Kind, ts.Producer, ts.Capacity, version, ts.Clock, chunks)
+			ts.ID, ts.Kind, ts.Producer, ts.Capacity, version, clock, chunks)
 	}
 	return nil
 }
@@ -264,7 +266,7 @@ func describePayload(kind string, payload []byte) string {
 	case server.WALSolve:
 		return fmt.Sprintf("solve    %s version=%d source=%s chunks=%d", rec.ID, rec.Snap.Version, rec.Snap.Source, rec.Snap.Chunks)
 	case server.WALPublish:
-		return fmt.Sprintf("publish  %s version=%d clock=%d count=%d", rec.ID, rec.Snap.Version, rec.Snap.Clock, rec.Count)
+		return fmt.Sprintf("publish  %s version=%d clock=%d chunks=%d", rec.ID, rec.Snap.Version, rec.Snap.Clock, rec.Snap.Chunks)
 	case server.WALAdapt:
 		return fmt.Sprintf("adapt    %s version=%d chunks=%d", rec.ID, rec.Snap.Version, rec.Snap.Chunks)
 	case server.WALDelete:

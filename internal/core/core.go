@@ -203,41 +203,17 @@ func (s *Solver) Reconfigure(opts Options) (*Solver, error) {
 	return &Solver{g: s.g, opts: opts, pc: s.pc}, nil
 }
 
-// Place runs Algorithm 1: it places chunk ids 0..chunks-1 sequentially,
-// mutating st (which must cover the same node set as the topology).
-func (s *Solver) Place(producer, chunks int, st *cache.State) (*Placement, error) {
-	return s.PlaceCtx(context.Background(), producer, chunks, st)
-}
-
-// PlaceCtx is Place with cancellation and parallel inner work: ctx is
-// checked before every chunk and throughout each per-chunk iteration
-// (contention matrix build, dual-growth ticks, Steiner fan-out), and the
-// independent inner loops spread over Options.Workers. Cancellation
-// surfaces as an error satisfying errors.Is with ctx.Err(); st may have
-// been mutated by already-committed chunks.
-func (s *Solver) PlaceCtx(ctx context.Context, producer, chunks int, st *cache.State) (*Placement, error) {
-	if producer < 0 || producer >= s.g.NumNodes() {
-		return nil, fmt.Errorf("%w: %d", ErrBadProducer, producer)
-	}
-	if chunks <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadChunks, chunks)
-	}
-	if st == nil || st.NumNodes() != s.g.NumNodes() {
-		return nil, ErrBadState
-	}
-	m, err := costmodel.New(s.g, s.pc, st, s.modelOptions())
-	if err != nil {
-		return nil, ErrBadState
-	}
-	return s.PlaceModelCtx(ctx, producer, chunks, m)
-}
-
-// PlaceModelCtx is PlaceCtx against a caller-owned cost model, the hook
-// for warm solves: the placement service forks a pre-built topology model
-// instead of paying the cold matrix build, and the online system keeps one
-// model alive across publications. The model must be bound to this
-// solver's graph and carry the same fairness/battery weights; the cache
-// state placed into is the model's own.
+// PlaceModelCtx runs Algorithm 1 against a caller-owned cost model: it
+// places chunk ids 0..chunks-1 sequentially into the model's cache state.
+// Callers fork a pre-built topology model (warm solves) instead of paying
+// the cold matrix build. The model must be bound to this solver's graph
+// and carry the same fairness/battery weights.
+//
+// ctx is checked before every chunk and throughout each per-chunk
+// iteration (contention matrix repair, dual-growth ticks, Steiner
+// fan-out), and the independent inner loops spread over Options.Workers.
+// Cancellation surfaces as an error satisfying errors.Is with ctx.Err();
+// the state may hold the already-committed chunks.
 func (s *Solver) PlaceModelCtx(ctx context.Context, producer, chunks int, m *costmodel.Model) (*Placement, error) {
 	if producer < 0 || producer >= s.g.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", ErrBadProducer, producer)
@@ -271,14 +247,6 @@ func (s *Solver) PlaceModelCtx(ctx context.Context, producer, chunks int, m *cos
 	return placement, nil
 }
 
-// modelOptions maps the solver's options onto the cost model's.
-func (s *Solver) modelOptions() costmodel.Options {
-	return costmodel.Options{
-		FairnessWeight: s.opts.FairnessWeight,
-		BatteryWeight:  s.opts.BatteryWeight,
-	}
-}
-
 // checkModel rejects models bound to another topology or weighted
 // differently than this solver — either would silently change placements.
 func (s *Solver) checkModel(m *costmodel.Model) error {
@@ -292,30 +260,12 @@ func (s *Solver) checkModel(m *costmodel.Model) error {
 	return nil
 }
 
-// PlaceOne runs a single iteration of Algorithm 1 for an arbitrary chunk
-// id against the current state — the building block of the online variant
-// (package online), where chunks arrive over time rather than as a batch.
-func (s *Solver) PlaceOne(producer, chunkID int, st *cache.State) (*ChunkResult, error) {
-	return s.PlaceOneCtx(context.Background(), producer, chunkID, st)
-}
-
-// PlaceOneCtx is PlaceOne with cancellation and parallel inner work (see
-// PlaceCtx).
-func (s *Solver) PlaceOneCtx(ctx context.Context, producer, chunkID int, st *cache.State) (*ChunkResult, error) {
-	if st == nil || st.NumNodes() != s.g.NumNodes() {
-		return nil, ErrBadState
-	}
-	m, err := costmodel.New(s.g, s.pc, st, s.modelOptions())
-	if err != nil {
-		return nil, ErrBadState
-	}
-	return s.PlaceOneModelCtx(ctx, producer, chunkID, m)
-}
-
-// PlaceOneModelCtx is PlaceOneCtx against a caller-owned cost model (see
-// PlaceModelCtx). The online system keeps one model alive across
-// publications and TTL evictions, so each arrival pays only the delta
-// repair instead of a full cost rebuild.
+// PlaceOneModelCtx runs a single iteration of Algorithm 1 for an
+// arbitrary chunk id against the model's current state (see
+// PlaceModelCtx) — the building block of the placement engine
+// (internal/demand), where chunks arrive over time rather than as a
+// batch. The engine keeps one model alive across publications and
+// evictions, so each arrival pays only the delta repair.
 func (s *Solver) PlaceOneModelCtx(ctx context.Context, producer, chunkID int, m *costmodel.Model) (*ChunkResult, error) {
 	if producer < 0 || producer >= s.g.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", ErrBadProducer, producer)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cache"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 )
 
@@ -32,6 +34,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// modelOf builds a cold cost model of st for s: the model form every
+// placement in these tests goes through.
+func modelOf(t testing.TB, s *Solver, st *cache.State) *costmodel.Model {
+	t.Helper()
+	m, err := costmodel.New(s.g, s.pc, st, costmodel.Options{FairnessWeight: s.opts.FairnessWeight, BatteryWeight: s.opts.BatteryWeight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestPlaceValidation(t *testing.T) {
 	g := graph.NewGrid(3, 3)
 	s, err := New(g, DefaultOptions())
@@ -39,16 +52,20 @@ func TestPlaceValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(9, 5)
-	if _, err := s.Place(-1, 1, st); !errors.Is(err, ErrBadProducer) {
+	other, err := New(graph.NewGrid(2, 2), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PlaceModelCtx(context.Background(), -1, 1, modelOf(t, s, st)); !errors.Is(err, ErrBadProducer) {
 		t.Errorf("bad producer: err = %v", err)
 	}
-	if _, err := s.Place(0, 0, st); !errors.Is(err, ErrBadChunks) {
+	if _, err := s.PlaceModelCtx(context.Background(), 0, 0, modelOf(t, s, st)); !errors.Is(err, ErrBadChunks) {
 		t.Errorf("zero chunks: err = %v", err)
 	}
-	if _, err := s.Place(0, 1, cache.NewState(4, 5)); !errors.Is(err, ErrBadState) {
+	if _, err := s.PlaceModelCtx(context.Background(), 0, 1, modelOf(t, other, cache.NewState(4, 5))); !errors.Is(err, ErrBadState) {
 		t.Errorf("state size mismatch: err = %v", err)
 	}
-	if _, err := s.Place(0, 1, nil); !errors.Is(err, ErrBadState) {
+	if _, err := s.PlaceModelCtx(context.Background(), 0, 1, nil); !errors.Is(err, ErrBadState) {
 		t.Errorf("nil state: err = %v", err)
 	}
 }
@@ -60,7 +77,7 @@ func TestPlaceSingleChunkGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(36, 5)
-	p, err := s.Place(9, 1, st)
+	p, err := s.PlaceModelCtx(context.Background(), 9, 1, modelOf(t, s, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +127,7 @@ func TestPlaceMultiChunkSpreadsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(36, 5)
-	p, err := s.Place(9, 5, st)
+	p, err := s.PlaceModelCtx(context.Background(), 9, 5, modelOf(t, s, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +169,7 @@ func TestPlaceNeverExceedsCapacityUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(16, 2)
-	p, err := s.Place(5, 6, st)
+	p, err := s.PlaceModelCtx(context.Background(), 5, 6, modelOf(t, s, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +190,7 @@ func TestPlaceObjectiveAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(16, 5)
-	p, err := s.Place(0, 3, st)
+	p, err := s.PlaceModelCtx(context.Background(), 0, 3, modelOf(t, s, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +226,7 @@ func TestPlaceZeroFairnessWeightStillRespectsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(16, 1)
-	if _, err := s.Place(0, 3, st); err != nil {
+	if _, err := s.PlaceModelCtx(context.Background(), 0, 3, modelOf(t, s, st)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
@@ -226,7 +243,7 @@ func TestPlaceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := s.Place(12, 4, cache.NewState(25, 5))
+		p, err := s.PlaceModelCtx(context.Background(), 12, 4, modelOf(t, s, cache.NewState(25, 5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +278,7 @@ func TestPlaceFeasibilityProperty(t *testing.T) {
 			return false
 		}
 		st := cache.NewState(n, 3)
-		p, err := s.Place(producer, q, st)
+		p, err := s.PlaceModelCtx(context.Background(), producer, q, modelOf(t, s, st))
 		if err != nil {
 			return false
 		}
@@ -325,7 +342,7 @@ func TestPlaceOneArbitraryChunkID(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(16, 5)
-	res, err := s.PlaceOne(5, 42, st)
+	res, err := s.PlaceOneModelCtx(context.Background(), 5, 42, modelOf(t, s, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +354,10 @@ func TestPlaceOneArbitraryChunkID(t *testing.T) {
 			t.Errorf("node %d missing chunk 42", v)
 		}
 	}
-	if _, err := s.PlaceOne(-1, 0, st); err == nil {
+	if _, err := s.PlaceOneModelCtx(context.Background(), -1, 0, modelOf(t, s, st)); err == nil {
 		t.Error("bad producer: want error")
 	}
-	if _, err := s.PlaceOne(5, 0, nil); err == nil {
+	if _, err := s.PlaceOneModelCtx(context.Background(), 5, 0, nil); err == nil {
 		t.Error("nil state: want error")
 	}
 }
@@ -353,7 +370,7 @@ func TestGreedyStrategyInCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.Place(12, 3, cache.NewState(25, 5))
+	p, err := s.PlaceModelCtx(context.Background(), 12, 3, modelOf(t, s, cache.NewState(25, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +395,11 @@ func TestImproveSteinerNeverRaisesDissemination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pPlain, err := plain.Place(9, 5, cache.NewState(36, 5))
+	pPlain, err := plain.PlaceModelCtx(context.Background(), 9, 5, modelOf(t, plain, cache.NewState(36, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pImproved, err := improved.Place(9, 5, cache.NewState(36, 5))
+	pImproved, err := improved.PlaceModelCtx(context.Background(), 9, 5, modelOf(t, improved, cache.NewState(36, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func placeOn(t *testing.T, g *graph.Graph, opts Options, producer, chunks int) *
 		t.Fatal(err)
 	}
 	st := cache.NewState(g.NumNodes(), chunks)
-	p, err := s.Place(producer, chunks, st)
+	p, err := s.PlaceModelCtx(context.Background(), producer, chunks, modelOf(t, s, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCancelStopsMidSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(g.NumNodes(), chunks)
-	_, err = s.PlaceCtx(ctx, 0, chunks, st)
+	_, err = s.PlaceModelCtx(ctx, 0, chunks, modelOf(t, s, st))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("PlaceCtx: err = %v, want context.Canceled", err)
 	}
@@ -124,10 +124,10 @@ func TestPlaceCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	st := cache.NewState(g.NumNodes(), 2)
-	if _, err := s.PlaceCtx(ctx, 0, 2, st); !errors.Is(err, context.Canceled) {
+	if _, err := s.PlaceModelCtx(ctx, 0, 2, modelOf(t, s, st)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PlaceCtx: err = %v, want context.Canceled", err)
 	}
-	if _, err := s.PlaceOneCtx(ctx, 0, 0, st); !errors.Is(err, context.Canceled) {
+	if _, err := s.PlaceOneModelCtx(ctx, 0, 0, modelOf(t, s, st)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PlaceOneCtx: err = %v, want context.Canceled", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestPathCacheReuseAcrossSolves(t *testing.T) {
 	}
 	run := func() *Placement {
 		st := cache.NewState(g.NumNodes(), 4)
-		p, err := s.Place(3, 4, st)
+		p, err := s.PlaceModelCtx(context.Background(), 3, 4, modelOf(t, s, st))
 		if err != nil {
 			t.Fatal(err)
 		}

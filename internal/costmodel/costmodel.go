@@ -234,8 +234,8 @@ func (m *Model) Evict(node, chunk int) bool {
 // weights pick up the new degrees, and the matrices rebuild from scratch
 // on the next refresh — connectivity changes invalidate every cached
 // path, so there is nothing to repair incrementally. Any other holder of
-// the same PathCache must be rebound by the caller too (the online system
-// rebuilds its core solver).
+// the same PathCache must be rebound by the caller too (the placement
+// engine in internal/demand rebuilds its core solver).
 func (m *Model) SwapTopology(g *graph.Graph) error {
 	if g == nil || g.NumNodes() != m.st.NumNodes() {
 		return ErrMismatch

@@ -135,10 +135,15 @@ func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptR
 }
 
 // topChunks ranks chunks by demand-weighted retrieval cost and returns
-// the TopDelta highest, ties broken toward the lower chunk id.
+// the TopDelta highest, ties broken toward the lower chunk id. Only
+// chunks in demand are examined — a chunk nobody requests gains nothing
+// from a copy — and expired chunks never are.
 func (s *System) topChunks(shares, weights []float64) []int {
-	scores := make([]chunkScore, s.chunks)
+	scores := make([]chunkScore, 0, s.chunks)
 	for k := 0; k < s.chunks; k++ {
+		if s.expired(k) || shares[k] == 0 {
+			continue
+		}
 		cost := 0.0
 		for j := range weights {
 			if weights[j] == 0 || j == s.producer {
@@ -147,7 +152,7 @@ func (s *System) topChunks(shares, weights []float64) []int {
 			_, d := s.nearestServer(j, k)
 			cost += weights[j] * float64(d)
 		}
-		scores[k] = chunkScore{chunk: k, score: shares[k] * cost}
+		scores = append(scores, chunkScore{chunk: k, score: shares[k] * cost})
 	}
 	// Descending score with ascending chunk id on ties: a strict total
 	// order, so the adaptation set is deterministic across runs.
@@ -178,7 +183,7 @@ func (s *System) marginalEvictCost(k int, shares, weights []float64, oracle map[
 	for _, v := range holders {
 		oracle[copyID(v, k)] = 0
 	}
-	if len(holders) == 0 {
+	if len(holders) == 0 || shares[k] == 0 {
 		return
 	}
 	for j := range weights {
@@ -258,8 +263,9 @@ func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) e
 }
 
 // replaceLost runs one full fair-caching iteration for every examined
-// chunk that no longer has any copy — the situation TTL expiry and
-// aggressive eviction create, where only the producer serves the chunk.
+// chunk that no longer has any copy — the situation aggressive eviction
+// creates, where only the producer serves the chunk. Expired chunks are
+// never examined, so they stay gone.
 func (s *System) replaceLost(ctx context.Context, top []int, report *AdaptReport) error {
 	for _, k := range top {
 		if len(s.holders[k]) > 0 {
@@ -365,6 +371,13 @@ func (s *System) addRedundancy(top []int, shares, weights []float64, budget int,
 // levels out — this phase is what keeps the adaptive policy's Gini near
 // the static placement's while the targeted phases chase hit-rate.
 func (s *System) fillFree(shares []float64, report *AdaptReport) {
+	// Only chunks in demand can score above zero.
+	var wanted []int
+	for k := 0; k < s.chunks; k++ {
+		if shares[k] > 0 && !s.expired(k) {
+			wanted = append(wanted, k)
+		}
+	}
 	n := s.st.NumNodes()
 	for v := 0; v < n; v++ {
 		if v == s.producer {
@@ -372,7 +385,7 @@ func (s *System) fillFree(shares []float64, report *AdaptReport) {
 		}
 		for s.st.Free(v) > 0 {
 			bestK, bestScore := -1, 0.0
-			for k := 0; k < s.chunks; k++ {
+			for _, k := range wanted {
 				if s.st.Has(v, k) {
 					continue
 				}

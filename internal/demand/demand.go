@@ -1,23 +1,37 @@
-// Package demand is the request-driven adaptive caching subsystem: it
-// serves a live stream of chunk requests against the current placement,
-// maintains online popularity estimates (sliding window + EWMA, package
-// Tracker), and periodically re-places the most mispositioned chunks
-// through delta updates to the shared incremental cost model — warm
-// mutations via Commit/Evict, never a full rebuild. It generalizes
-// package online from publication-driven to request-driven operation,
-// following the adaptation-loop design of Ioannidis & Yeh (Adaptive
-// Caching Networks with Optimality Guarantees) and the demand-weighted
-// diversity/redundancy tradeoff of Wang et al.
+// Package demand is the placement engine behind every mutable cache
+// allocation: one cost model, one cache state and the per-chunk holder
+// lists, mutated in place by three kinds of step.
+//
+//   - Publication (the paper's Sec. VI online direction): the next chunk
+//     id arrives, published chunks whose lifetime has passed expire —
+//     every copy goes, whoever placed it — and one fair-caching
+//     iteration places the arrival against the current state. Eviction
+//     lowers the fairness cost of loaded nodes, so storage is recycled
+//     fairly over long horizons instead of filling up once.
+//   - Requests and adaptation: a live request stream feeds popularity
+//     estimates (sliding window + EWMA, Tracker), and adaptation passes
+//     re-place the most mispositioned chunks, following the adaptation
+//     loop of Ioannidis & Yeh (Adaptive Caching Networks with Optimality
+//     Guarantees) and the demand-weighted diversity/redundancy tradeoff
+//     of Wang et al.
+//   - Load: the engine takes a committed state (holders, publication
+//     clock, expiry of live published chunks) — how a serving layer
+//     installs a solve, recovers from its log or rolls back a mutation
+//     it could not make durable.
+//
+// Every step flows through the incremental cost model (Commit/Evict delta
+// updates), never a full rebuild.
 //
 // A System is not safe for concurrent use; callers (the server's
-// per-topology worker, the eval replayer) serialize mutations exactly as
-// they do for the online system. Stats alone may be read concurrently.
+// per-topology worker, the eval replayer) serialize mutations. Stats
+// alone may be read concurrently.
 package demand
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -32,20 +46,9 @@ import (
 // Errors returned by the demand system.
 var ErrBadInput = errors.New("demand: invalid input")
 
-// Options configures the adaptive caching system. Zero values select the
+// Options tunes serving and adaptation. Zero values select the
 // documented defaults.
 type Options struct {
-	// Capacity is the per-node cache capacity in chunks (default 5, the
-	// paper's evaluation value). Ignored when Model is set — the model's
-	// state fixes the capacities.
-	Capacity int
-	// FairnessWeight and BatteryWeight mirror the core solver options and
-	// must match Model's weights when one is injected. FairnessWeight
-	// defaults to 1.
-	FairnessWeight float64
-	BatteryWeight  float64
-	// Workers sizes the solver pool for seeding and adaptation placements.
-	Workers int
 	// Eviction selects the replacement strategy consulted when the
 	// adaptation loop frees capacity; nil selects the cost-aware strategy
 	// backed by the system's demand-weighted marginal-cost estimate.
@@ -72,20 +75,9 @@ type Options struct {
 	WindowBuckets int
 	BucketSize    int
 	Alpha         float64
-	// Model, when non-nil, supplies a caller-owned cost model to adopt —
-	// the warm-fork hook the root Solver uses so adaptive systems skip
-	// the cold all-pairs build. The model's graph must be the system's
-	// graph and its state must be empty.
-	Model *costmodel.Model
 }
 
 func (o Options) withDefaults() Options {
-	if o.Capacity == 0 {
-		o.Capacity = 5
-	}
-	if o.FairnessWeight == 0 {
-		o.FairnessWeight = 1
-	}
 	if o.HitRadius == 0 {
 		o.HitRadius = 2
 	}
@@ -155,13 +147,15 @@ func (s Stats) MeanCost() float64 {
 	return s.CostSum / float64(s.Requests)
 }
 
-// System is one adaptive caching instance: a live cost model, the current
-// placement, a popularity tracker, and an eviction strategy.
+// System is one placement engine: a live cost model, the current
+// placement, the publication bookkeeping, a popularity tracker, and an
+// eviction strategy.
 type System struct {
 	g        *graph.Graph
 	producer int
 	chunks   int
 	opts     Options
+	coreOpts core.Options
 
 	solver  *core.Solver
 	model   *costmodel.Model
@@ -172,7 +166,16 @@ type System struct {
 	hop     [][]int // all-pairs hop distances
 	holders [][]int // per-chunk holder lists, sorted
 
-	clock int64
+	clock int64 // request clock: recency for the eviction strategy
+
+	// Publication bookkeeping: pubs counts publications; expiry maps each
+	// live published chunk to the publication time it expires at; and
+	// [expiredFrom, expiredTo) holds the published ids whose lifetime has
+	// ended. Publications take consecutive ids and expire in publication
+	// order, so the expired ids always form one range.
+	pubs                   int
+	expiry                 map[int]int
+	expiredFrom, expiredTo int
 
 	// oracle state for the built-in cost-aware strategy: per-copy
 	// demand-weighted marginal retrieval costs, rebuilt each eviction pass.
@@ -183,90 +186,73 @@ type System struct {
 	hist    []int64 // request count by retrieval hop distance
 }
 
-// New builds an adaptive system over a connected topology. The producer
-// holds every chunk locally and never caches; chunk ids are [0, chunks).
-func New(g *graph.Graph, producer, chunks int, opts Options) (*System, error) {
+// New builds an engine over a caller-owned cost model with an empty
+// state — in practice a warm fork of a Solver's topology model. The
+// producer holds every chunk locally and never caches; chunk ids are
+// [0, chunks). coreOpts tunes the engine's placements; its weights and
+// path cache are taken from m.
+func New(m *costmodel.Model, producer, chunks int, coreOpts core.Options, opts Options) (*System, error) {
 	opts = opts.withDefaults()
-	if g == nil || g.NumNodes() < 2 {
-		return nil, fmt.Errorf("%w: nil or trivial topology", ErrBadInput)
+	if m == nil || m.Graph().NumNodes() < 2 {
+		return nil, fmt.Errorf("%w: nil model or trivial topology", ErrBadInput)
 	}
+	g := m.Graph()
 	if producer < 0 || producer >= g.NumNodes() {
 		return nil, fmt.Errorf("%w: producer %d", ErrBadInput, producer)
 	}
-	if chunks < 1 {
+	if chunks < 0 {
 		return nil, fmt.Errorf("%w: chunks %d", ErrBadInput, chunks)
 	}
-	var (
-		model *costmodel.Model
-		st    *cache.State
-		pc    *graph.PathCache
-	)
-	if opts.Model != nil {
-		model = opts.Model
-		if model.Graph() != g {
-			return nil, fmt.Errorf("%w: injected model bound to another topology", ErrBadInput)
-		}
-		if mo := model.Options(); mo.FairnessWeight != opts.FairnessWeight || mo.BatteryWeight != opts.BatteryWeight {
-			return nil, fmt.Errorf("%w: injected model weights (%g, %g) differ from options (%g, %g)",
-				ErrBadInput, mo.FairnessWeight, mo.BatteryWeight, opts.FairnessWeight, opts.BatteryWeight)
-		}
-		st = model.State()
-		if st.TotalStored() != 0 {
-			return nil, fmt.Errorf("%w: injected model state is not empty", ErrBadInput)
-		}
-		pc = model.PathCache()
-	} else {
-		if opts.Capacity < 1 {
-			return nil, fmt.Errorf("%w: capacity %d", ErrBadInput, opts.Capacity)
-		}
-		pc = graph.NewPathCache(g)
-		st = cache.NewState(g.NumNodes(), opts.Capacity)
-		var err error
-		model, err = costmodel.New(g, pc, st, costmodel.Options{
-			FairnessWeight: opts.FairnessWeight,
-			BatteryWeight:  opts.BatteryWeight,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-		}
+	if m.State().TotalStored() != 0 {
+		return nil, fmt.Errorf("%w: model state is not empty", ErrBadInput)
 	}
-	coreOpts := core.DefaultOptions()
-	coreOpts.FairnessWeight = opts.FairnessWeight
-	coreOpts.BatteryWeight = opts.BatteryWeight
-	coreOpts.Workers = opts.Workers
-	coreOpts.PathCache = pc
+	mo := m.Options()
+	coreOpts.FairnessWeight = mo.FairnessWeight
+	coreOpts.BatteryWeight = mo.BatteryWeight
+	coreOpts.PathCache = m.PathCache()
 	solver, err := core.New(g, coreOpts)
 	if err != nil {
 		return nil, err
 	}
 	n := g.NumNodes()
-	hop := make([][]int, n)
-	for i := 0; i < n; i++ {
-		hop[i] = append([]int(nil), pc.HopDistances(i)...)
-	}
-	strat := opts.Eviction
 	s := &System{
 		g:        g,
 		producer: producer,
 		chunks:   chunks,
 		opts:     opts,
+		coreOpts: coreOpts,
 		solver:   solver,
-		model:    model,
-		st:       st,
+		model:    m,
+		st:       m.State(),
 		tracker:  NewTracker(chunks, n, opts.WindowBuckets, opts.BucketSize, opts.Alpha),
-		hop:      hop,
 		holders:  make([][]int, chunks),
-		hist:     make([]int64, maxHop(hop)+2),
+		expiry:   make(map[int]int),
 	}
-	if strat == nil {
+	s.setHops()
+	s.strat = opts.Eviction
+	if s.strat == nil {
 		s.costOracle = make(map[int64]float64)
-		ca := cache.NewCostAware(func(node, chunk int) float64 {
+		s.strat = cache.NewCostAware(func(node, chunk int) float64 {
 			return s.costOracle[copyID(node, chunk)]
 		})
-		strat = ca
 	}
-	s.strat = strat
 	return s, nil
+}
+
+// setHops (re)derives the all-pairs hop matrix from the model's path
+// cache and widens the retrieval-cost histogram to the new diameter.
+func (s *System) setHops() {
+	pc := s.model.PathCache()
+	n := s.g.NumNodes()
+	s.hop = make([][]int, n)
+	for i := 0; i < n; i++ {
+		s.hop[i] = append([]int(nil), pc.HopDistances(i)...)
+	}
+	s.statsMu.Lock()
+	if need := maxHop(s.hop) + 2; need > len(s.hist) {
+		s.hist = append(s.hist, make([]int64, need-len(s.hist))...)
+	}
+	s.statsMu.Unlock()
 }
 
 func maxHop(hop [][]int) int {
@@ -309,6 +295,21 @@ func (s *System) Producer() int { return s.producer }
 
 // Chunks returns the chunk-id space size.
 func (s *System) Chunks() int { return s.chunks }
+
+// Publications returns the publication clock: the number of publications
+// so far.
+func (s *System) Publications() int { return s.pubs }
+
+// Expiry returns a copy of the live published chunks' expiry times.
+func (s *System) Expiry() map[int]int { return maps.Clone(s.expiry) }
+
+// Expired returns the range [from, to) of published chunk ids whose
+// lifetime has ended.
+func (s *System) Expired() (from, to int) { return s.expiredFrom, s.expiredTo }
+
+// expired reports whether chunk k is a published chunk whose lifetime has
+// ended: it holds no copies and adaptation never re-places it.
+func (s *System) expired(k int) bool { return k >= s.expiredFrom && k < s.expiredTo }
 
 // State returns the live cache state (read-only for callers).
 func (s *System) State() *cache.State { return s.st }
@@ -465,14 +466,22 @@ func (s *System) commit(v, k int) error {
 	return nil
 }
 
-// evict removes chunk k from node v through the model and syncs the
+// uncache removes chunk k from node v through the model and syncs the
 // holder list and strategy, reporting whether a copy was removed.
-func (s *System) evict(v, k int) bool {
+func (s *System) uncache(v, k int) bool {
 	if !s.model.Evict(v, k) {
 		return false
 	}
 	s.holdersRemove(k, v)
 	s.strat.OnEvict(v, k)
+	return true
+}
+
+// evict is uncache counted as an adaptation eviction.
+func (s *System) evict(v, k int) bool {
+	if !s.uncache(v, k) {
+		return false
+	}
 	s.statsMu.Lock()
 	s.stats.Evictions++
 	s.statsMu.Unlock()
@@ -480,4 +489,167 @@ func (s *System) evict(v, k int) bool {
 }
 
 // newPool returns the worker pool adaptation passes fan out over.
-func (s *System) newPool() *pool.Pool { return pool.New(pool.Normalize(s.opts.Workers)) }
+func (s *System) newPool() *pool.Pool { return pool.New(pool.Normalize(s.coreOpts.Workers)) }
+
+// resize sets the chunk-id space to chunks. Growing extends the holder
+// lists and the popularity tracker; shrinking drops the holder lists of
+// ids past the end, which the caller has already emptied.
+func (s *System) resize(chunks int) {
+	for len(s.holders) < chunks {
+		s.holders = append(s.holders, nil)
+	}
+	s.holders = s.holders[:chunks]
+	s.tracker.grow(chunks)
+	s.chunks = chunks
+}
+
+// Load sets the engine to a committed state: holders[k] lists chunk k's
+// copies (the chunk-id space becomes len(holders)), pubs is the
+// publication clock, expiry maps each live published chunk to the
+// publication time it expires at, and [expiredFrom, expiredTo) are the
+// published ids whose lifetime has ended. The placement moves by
+// difference through the cost model, so copies present in both states
+// keep their eviction-strategy history; the popularity tracker and the
+// counters carry over. The state is validated before anything changes:
+// on error the engine is untouched.
+func (s *System) Load(holders [][]int, pubs int, expiry map[int]int, expiredFrom, expiredTo int) error {
+	n := s.st.NumNodes()
+	load := make([]int, n)
+	for k, hs := range holders {
+		for i, v := range hs {
+			if v < 0 || v >= n || v == s.producer || slices.Contains(hs[:i], v) {
+				return fmt.Errorf("%w: chunk %d cannot be held by node %d", ErrBadInput, k, v)
+			}
+			load[v]++
+		}
+	}
+	for v, c := range load {
+		if c > s.st.Capacity(v) {
+			return fmt.Errorf("%w: node %d holds %d chunks, capacity %d", ErrBadInput, v, c, s.st.Capacity(v))
+		}
+	}
+	if pubs < 0 || expiredFrom > expiredTo {
+		return fmt.Errorf("%w: publication clock %d, expired range [%d,%d)", ErrBadInput, pubs, expiredFrom, expiredTo)
+	}
+	for k, hs := range s.holders {
+		var keep []int
+		if k < len(holders) {
+			keep = holders[k]
+		}
+		for _, v := range slices.Clone(hs) {
+			if !slices.Contains(keep, v) {
+				s.uncache(v, k)
+			}
+		}
+	}
+	s.resize(len(holders))
+	for k, hs := range holders {
+		for _, v := range hs {
+			if s.st.Has(v, k) {
+				continue
+			}
+			if err := s.commit(v, k); err != nil {
+				return err // validated above: unreachable
+			}
+		}
+	}
+	s.pubs = pubs
+	s.expiry = maps.Clone(expiry)
+	if s.expiry == nil {
+		s.expiry = make(map[int]int)
+	}
+	s.expiredFrom, s.expiredTo = expiredFrom, expiredTo
+	return nil
+}
+
+// PublishCtx publishes the next chunk id: the publication clock ticks,
+// published chunks whose lifetime has passed lose every copy, and one
+// fair-caching iteration places the arrival against the current state.
+// A positive ttl makes the arrival expire ttl publications later; ttl <= 0
+// never expires it. It returns the placement and the expired chunk ids,
+// sorted.
+//
+// ctx is checked before the clock ticks (a pre-cancelled context leaves
+// the engine untouched) and throughout the placement. A cancelled
+// placement returns an error satisfying errors.Is with ctx.Err(); the
+// chunk id, the clock tick and the expiries stand — they reflect time
+// passing, not the abandoned placement.
+func (s *System) PublishCtx(ctx context.Context, ttl int) (*core.ChunkResult, []int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("demand: publish: %w", err)
+	}
+	s.pubs++
+	id := s.chunks
+	s.resize(id + 1)
+	var stale []int
+	for k, exp := range s.expiry {
+		if exp <= s.pubs {
+			stale = append(stale, k)
+		}
+	}
+	slices.Sort(stale)
+	for _, k := range stale {
+		for _, v := range slices.Clone(s.holders[k]) {
+			s.uncache(v, k)
+		}
+		delete(s.expiry, k)
+		if s.expiredFrom == s.expiredTo || k != s.expiredTo {
+			s.expiredFrom = k
+		}
+		s.expiredTo = k + 1
+	}
+	if !s.hasRoom() {
+		// Every facility cost is +Inf on a full network, so the dual
+		// growth could only confirm that no node takes a copy.
+		return &core.ChunkResult{Chunk: id}, stale, nil
+	}
+	res, err := s.solver.PlaceOneModelCtx(ctx, s.producer, id, s.model)
+	if err != nil {
+		return nil, stale, fmt.Errorf("demand: publish chunk %d: %w", id, err)
+	}
+	for _, v := range res.CacheNodes {
+		s.holdersAdd(id, v)
+		s.strat.OnStore(v, id, s.clock)
+	}
+	if ttl > 0 {
+		s.expiry[id] = s.pubs + ttl
+	}
+	return res, stale, nil
+}
+
+// hasRoom reports whether any node other than the producer has a free
+// slot.
+func (s *System) hasRoom() bool {
+	for v := 0; v < s.st.NumNodes(); v++ {
+		if v != s.producer && s.st.Free(v) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// SetTopology swaps the network topology (device mobility): later
+// placements and request serving use the new connectivity while the
+// placement and the publication bookkeeping carry over. The node set must
+// stay the same size and the topology connected. The model's path cache
+// is reset to the new graph — entries for the old connectivity are
+// dropped, not accumulated across swaps — so the engine must own it: no
+// other solver may share it.
+func (s *System) SetTopology(g *graph.Graph) error {
+	if g == nil || g.NumNodes() != s.g.NumNodes() {
+		return fmt.Errorf("%w: topology must keep the %d-node set", ErrBadInput, s.g.NumNodes())
+	}
+	// Validate before touching any state: core.New rejects disconnected
+	// graphs without reading the path cache.
+	solver, err := core.New(g, s.coreOpts)
+	if err != nil {
+		return err
+	}
+	if err := s.model.SwapTopology(g); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	s.g = g
+	s.solver = solver
+	s.setHops()
+	return nil
+}

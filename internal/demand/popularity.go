@@ -56,6 +56,21 @@ func NewTracker(chunks, nodes, buckets, bucketSize int, alpha float64) *Tracker 
 	return t
 }
 
+// grow widens the chunk-id space to chunks (never narrows it); new ids
+// start with no demand history.
+func (t *Tracker) grow(chunks int) {
+	if chunks <= t.chunks {
+		return
+	}
+	extra := chunks - t.chunks
+	for b := range t.chunkBuckets {
+		t.chunkBuckets[b] = append(t.chunkBuckets[b], make([]int32, extra)...)
+	}
+	t.chunkWin = append(t.chunkWin, make([]int64, extra)...)
+	t.ewma = append(t.ewma, make([]float64, extra)...)
+	t.chunks = chunks
+}
+
 // Observe records one request event.
 func (t *Tracker) Observe(node, chunk int) {
 	if t.curCount >= t.bucketSize {

@@ -55,16 +55,11 @@ func TestAdaptationPropertyInvariants(t *testing.T) {
 func runPropertyWalk(t *testing.T, g *graph.Graph, workers, steps int) {
 	t.Helper()
 	const chunks = 10
-	s, err := New(g, 0, chunks, Options{
-		Capacity:   2,
-		Workers:    workers,
+	s := newEngine(t, g, 0, chunks, 2, workers, Options{
 		TopDelta:   4,
 		CopyBudget: 6,
 		BucketSize: 64,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	if err := s.SeedCtx(ctx); err != nil {
 		t.Fatal(err)

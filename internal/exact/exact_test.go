@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/contention"
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/steiner"
 )
@@ -225,7 +227,11 @@ func TestApproximationRatioBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		appx, err := solver.Place(producer, 1, cache.NewState(n, 5))
+		model, err := costmodel.New(g, solver.PathCache(), cache.NewState(n, 5), costmodel.Options{FairnessWeight: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appx, err := solver.PlaceModelCtx(context.Background(), producer, 1, model)
 		if err != nil {
 			t.Fatalf("trial %d approx: %v", trial, err)
 		}

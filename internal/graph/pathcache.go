@@ -278,8 +278,9 @@ func (pc *PathCache) RepairNodeCostPaths(src int, weight []float64, changed []in
 // for topology swaps (device mobility in the online system), where keeping
 // per-source entries for a graph that no longer exists would both serve
 // wrong answers and grow memory without bound across swaps. Reset must not
-// race with readers; the single-writer owners (the online system, the
-// per-topology server workers) guarantee that.
+// race with readers; the single-writer placement engine in
+// internal/demand, whose topology swaps are the only path here, guarantees
+// that.
 func (pc *PathCache) Reset(g *Graph) {
 	pc.mu.Lock()
 	pc.g = g

@@ -177,13 +177,7 @@ func TestSolveCoalesceDistinctRequests(t *testing.T) {
 
 	// Same chunks, one with a caller timeout: one flight. Different
 	// chunks, algorithm or workers: three more flights.
-	reqs := []SolveRequest{
-		{Chunks: 3},
-		{Chunks: 3, TimeoutMs: 60000},
-		{Chunks: 4},
-		{Chunks: 3, Options: &SolveOptions{Algorithm: "dist"}},
-		{Chunks: 3, Options: &SolveOptions{Workers: 1}},
-	}
+	reqs := []SolveRequest{{Chunks: 3}, {Chunks: 3, TimeoutMs: 60000}, {Chunks: 4}, {Chunks: 3, Options: &SolveOptions{Algorithm: "dist"}}, {Chunks: 3, Options: &SolveOptions{Workers: 1}}}
 	var wg sync.WaitGroup
 	responses := make([]SolveResponse, len(reqs))
 	for i, req := range reqs {

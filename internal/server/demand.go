@@ -16,15 +16,14 @@ const maxRequestBatch = 8192
 
 // DemandInit configures a topology's demand subsystem on first use. It
 // may only accompany the first requests batch; later batches must omit
-// it. The subsystem is in-memory only: a restart drops it, and the next
-// requests batch re-initializes from a fresh static seed.
+// it. Requests and adaptation run on the topology's committed placement;
+// the popularity estimates are in-memory only, so after a restart the
+// next requests batch starts them afresh.
 type DemandInit struct {
-	// Chunks is the chunk-id space (default: the committed snapshot's
-	// chunk count; required when no solve or publish has committed).
+	// Chunks widens the chunk-id space requests may name (default: the
+	// committed snapshot's chunk count; required when no solve or
+	// publish has committed). The next adapt commits the wider space.
 	Chunks int `json:"chunks,omitempty"`
-	// Capacity is the subsystem's per-node capacity (default: the
-	// topology's registered capacity).
-	Capacity int `json:"capacity,omitempty"`
 	// Eviction names the replacement strategy: cost (default), lru, lfu.
 	Eviction string `json:"eviction,omitempty"`
 	// HitRadius, TopDelta and CopyBudget tune serving and adaptation with
@@ -37,8 +36,7 @@ type DemandInit struct {
 // DemandInfo reports a topology's demand subsystem state; nil in
 // TopologyInfo means no request has been reported yet.
 type DemandInfo struct {
-	Chunks   int `json:"chunks"`
-	Capacity int `json:"capacity"`
+	Chunks int `json:"chunks"`
 	faircache.AdaptiveStats
 }
 
@@ -58,34 +56,30 @@ type RequestsResponse struct {
 	Demand *DemandInfo           `json:"demand"`
 }
 
-// initAdaptive builds the topology's demand subsystem. Worker goroutine
+// initDemand turns the demand subsystem on with init's knobs. The engine
+// is rebuilt with them (from the committed snapshot, like any engine
+// build); on error the previous configuration stays. Worker goroutine
 // only.
-func (tp *topology) initAdaptive(ctx context.Context, init *DemandInit) error {
+func (tp *topology) initDemand(ctx context.Context, init *DemandInit) error {
 	cfg := DemandInit{}
 	if init != nil {
 		cfg = *init
 	}
-	if cfg.Chunks == 0 {
-		cfg.Chunks = tp.snap.Load().Chunks
-	}
-	if cfg.Chunks < 1 {
+	if max(cfg.Chunks, tp.snap.Load().Chunks) < 1 {
 		return badRequestf("no chunks known: solve or publish first, or set init.chunks")
 	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = tp.capacity
-	}
-	adaptive, err := tp.solver.NewAdaptive(ctx, tp.producer, cfg.Chunks, &faircache.AdaptiveOptions{
-		Capacity:   cfg.Capacity,
-		Eviction:   cfg.Eviction,
-		HitRadius:  cfg.HitRadius,
-		TopDelta:   cfg.TopDelta,
-		CopyBudget: cfg.CopyBudget,
-	})
-	if err != nil {
+	prevOpts, prevChunks, prevEngine := tp.engineOpts, tp.initChunks, tp.engine
+	tp.engineOpts.Eviction = cfg.Eviction
+	tp.engineOpts.HitRadius = cfg.HitRadius
+	tp.engineOpts.TopDelta = cfg.TopDelta
+	tp.engineOpts.CopyBudget = cfg.CopyBudget
+	tp.initChunks = cfg.Chunks
+	tp.engine = nil
+	if _, err := tp.engineFor(ctx); err != nil {
+		tp.engineOpts, tp.initChunks, tp.engine = prevOpts, prevChunks, prevEngine
 		return err
 	}
-	tp.adaptive = adaptive
-	tp.demandCapacity = cfg.Capacity
+	tp.demandOn = true
 	return nil
 }
 
@@ -94,9 +88,8 @@ func (tp *topology) initAdaptive(ctx context.Context, init *DemandInit) error {
 // and get handlers.
 func (tp *topology) demandInfo() *DemandInfo {
 	info := &DemandInfo{
-		Chunks:        tp.adaptive.Chunks(),
-		Capacity:      tp.demandCapacity,
-		AdaptiveStats: tp.adaptive.Stats(),
+		Chunks:        tp.engine.Chunks(),
+		AdaptiveStats: tp.engine.Stats(),
 	}
 	tp.demand.Store(info)
 	return info
@@ -122,20 +115,22 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, err := tp.do(r.Context(), func(cctx context.Context) (any, error) {
-		if tp.adaptive == nil {
-			if err := tp.initAdaptive(cctx, req.Init); err != nil {
-				return nil, err
-			}
-		} else if req.Init != nil {
+		if tp.demandOn && req.Init != nil {
 			return nil, badRequestf("demand subsystem already initialized; omit init")
 		}
-		batch, err := tp.adaptive.Report(req.Events)
+		if !tp.demandOn {
+			if err := tp.initDemand(cctx, req.Init); err != nil {
+				return nil, err
+			}
+		}
+		eng, err := tp.engineFor(cctx)
 		if err != nil {
 			return nil, err
 		}
-		s.vars.Add("demand_requests", batch.Requests)
-		s.vars.Add("demand_hits", batch.LocalHits)
-		s.vars.Add("demand_misses", batch.Requests-batch.CacheHits)
+		batch, err := eng.Report(req.Events)
+		if err != nil {
+			return nil, err
+		}
 		s.metrics.demandEvents.Add(float64(batch.Requests))
 		return &RequestsResponse{Batch: batch, Demand: tp.demandInfo()}, nil
 	})
@@ -184,44 +179,29 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	ctx := withTraceID(r.Context(), traceID)
 	ctx = trace.NewContext(ctx, s.tracer.StartTrace(traceID, req.Explain))
 	v, err := tp.do(ctx, func(cctx context.Context) (any, error) {
-		if tp.adaptive == nil {
+		if !tp.demandOn {
 			return nil, badRequestf("no demand state: report requests before adapting")
 		}
-		res, err := tp.adaptive.AdaptWith(cctx, &faircache.AdaptRunOptions{
+		eng, err := tp.engineFor(cctx)
+		if err != nil {
+			return nil, err
+		}
+		res, err := eng.AdaptWith(cctx, &faircache.AdaptRunOptions{
 			Explain: req.Explain,
 			TraceID: traceID,
 		})
 		if err != nil {
+			tp.reload()
 			return nil, err
 		}
-		holders := make(map[int][]int)
-		for k, hs := range tp.adaptive.Placement() {
-			if len(hs) > 0 {
-				holders[k] = hs
-			}
-		}
 		prev := tp.snap.Load()
-		snap := &Snapshot{
-			Version:      tp.version + 1,
-			Source:       "adapt",
-			Producer:     tp.producer,
-			Chunks:       tp.adaptive.Chunks(),
-			Holders:      holders,
-			Counts:       tp.adaptive.Counts(),
-			Clock:        prev.Clock,
-			Solves:       prev.Solves,
-			Publications: prev.Publications,
+		// Like every mutation record, the adapt record carries the
+		// absolute committed snapshot; the demand stream that produced it
+		// is deliberately not logged (it is ephemeral observation state).
+		snap := tp.stage("adapt", prev.Solves, prev.Publications)
+		if err := tp.commitLogged(cctx, s.journal, WALAdapt, snap); err != nil {
+			return nil, err
 		}
-		// Like solve records, the adapt record carries the absolute
-		// committed snapshot; the demand stream that produced it is
-		// deliberately not logged (it is ephemeral observation state).
-		if jerr := s.journal.append(cctx, &WALRecord{Type: WALAdapt, ID: tp.id, Snap: snap},
-			func() { tp.commit(snap) }); jerr != nil {
-			return nil, jerr
-		}
-		s.vars.Add("adaptations", 1)
-		s.vars.Add("demand_evictions", int64(res.Evicted))
-		s.vars.Add("demand_copies_placed", int64(res.Placed))
 		s.metrics.adaptPasses.Inc()
 		s.metrics.adaptActions.WithLabelValues("evicted").Add(float64(res.Evicted))
 		s.metrics.adaptActions.WithLabelValues("placed").Add(float64(res.Placed))

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -41,7 +40,7 @@ func TestRequestsLazyInitAndAccounting(t *testing.T) {
 	var out RequestsResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/requests", RequestsRequest{
 		Events: demandEvents(t, 25, 8, 500, 12),
-		Init:   &DemandInit{Chunks: 8, Capacity: 3},
+		Init:   &DemandInit{Chunks: 8},
 	}, &out, http.StatusOK)
 	if out.Batch.Requests != 500 {
 		t.Fatalf("batch.Requests = %d, want 500", out.Batch.Requests)
@@ -49,7 +48,7 @@ func TestRequestsLazyInitAndAccounting(t *testing.T) {
 	if out.Batch.LocalHits > out.Batch.CacheHits || out.Batch.CacheHits > out.Batch.Requests {
 		t.Fatalf("batch accounting inconsistent: %+v", out.Batch)
 	}
-	if out.Demand == nil || out.Demand.Chunks != 8 || out.Demand.Capacity != 3 {
+	if out.Demand == nil || out.Demand.Chunks != 8 {
 		t.Fatalf("demand info = %+v", out.Demand)
 	}
 
@@ -94,7 +93,7 @@ func TestAdaptCommitsSnapshot(t *testing.T) {
 	var rr RequestsResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/requests", RequestsRequest{
 		Events: demandEvents(t, 36, 12, 3000, 14),
-		Init:   &DemandInit{Chunks: 12, Capacity: 3},
+		Init:   &DemandInit{Chunks: 12},
 	}, &rr, http.StatusOK)
 
 	var ar AdaptResponse
@@ -133,7 +132,7 @@ func TestAdaptCommitsSnapshot(t *testing.T) {
 	}
 }
 
-func TestDemandExpvarCounters(t *testing.T) {
+func TestDemandMetricsCounters(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(5, 5, 12)
 	var rr RequestsResponse
@@ -144,32 +143,18 @@ func TestDemandExpvarCounters(t *testing.T) {
 	var ar AdaptResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/adapt", nil, &ar, http.StatusOK)
 
-	_, raw := c.do("GET", "/debug/vars", nil)
-	var vars struct {
-		Faircached map[string]json.Number `json:"faircached"`
+	m := scrape(c)
+	if got := m["faircached_demand_events_total"]; got != 1000 {
+		t.Errorf("demand events = %v, want 1000", got)
 	}
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("unmarshal vars: %v; body %s", err, raw)
+	if got := m["faircached_adapt_passes_total"]; got != 1 {
+		t.Errorf("adapt passes = %v, want 1", got)
 	}
-	counter := func(name string) int64 {
-		v, _ := vars.Faircached[name].Int64()
-		return v
+	if got := m[`faircached_adapt_actions_total{action="placed"}`]; got != float64(ar.Adaptation.Placed) {
+		t.Errorf("placed copies = %v, want %d", got, ar.Adaptation.Placed)
 	}
-	if got := counter("demand_requests"); got != 1000 {
-		t.Errorf("demand_requests = %d, want 1000", got)
-	}
-	hits, misses := counter("demand_hits"), counter("demand_misses")
-	if hits != rr.Demand.LocalHits {
-		t.Errorf("demand_hits = %d, want %d", hits, rr.Demand.LocalHits)
-	}
-	if misses != 1000-rr.Demand.CacheHits {
-		t.Errorf("demand_misses = %d, want %d", misses, 1000-rr.Demand.CacheHits)
-	}
-	if got := counter("adaptations"); got != 1 {
-		t.Errorf("adaptations = %d, want 1", got)
-	}
-	if counter("demand_copies_placed") != int64(ar.Adaptation.Placed) {
-		t.Errorf("demand_copies_placed = %d, want %d", counter("demand_copies_placed"), ar.Adaptation.Placed)
+	if got := m[`faircached_adapt_actions_total{action="evicted"}`]; got != float64(ar.Adaptation.Evicted) {
+		t.Errorf("evicted copies = %v, want %d", got, ar.Adaptation.Evicted)
 	}
 }
 

@@ -55,11 +55,13 @@ type RegisterRequest struct {
 	Producer *int `json:"producer,omitempty"`
 	// Capacity is the per-node cache capacity (default 5).
 	Capacity int `json:"capacity,omitempty"`
-	// ChunkTTL is the online chunk lifetime with faircache.Options
-	// semantics: 0 default, >0 publications, <0 never expire.
+	// ChunkTTL is the lifetime of published chunks with
+	// faircache.Options semantics: 0 default, >0 publications, <0 never
+	// expire.
 	ChunkTTL int `json:"chunkTTL,omitempty"`
-	// FairnessWeight scales the Fairness Degree Cost of online
-	// placements (0 = paper default).
+	// FairnessWeight scales the Fairness Degree Cost of the topology's
+	// placement engine — publications and adaptation (0 = paper
+	// default). Solves take theirs from the request options.
 	FairnessWeight float64 `json:"fairnessWeight,omitempty"`
 }
 
@@ -105,13 +107,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("negative capacity %d", capacity))
 		return
 	}
-	online, oerr := faircache.NewOnline(topo, producer, &faircache.Options{
-		Capacity:       capacity,
-		ChunkTTL:       req.ChunkTTL,
-		FairnessWeight: req.FairnessWeight,
-	})
-	if oerr != nil {
-		s.writeError(w, oerr)
+	solver, serr := faircache.NewSolver(topo)
+	if serr != nil {
+		s.writeError(w, serr)
 		return
 	}
 
@@ -136,7 +134,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tp := newTopology(id, kind, topo, producer, capacity, online, 0, nil)
+	tp := newTopology(id, kind, topo, solver, &req, producer, capacity, nil)
 	s.wireObservability(tp)
 	s.mu.Lock()
 	if s.closed {
@@ -151,7 +149,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.topos[id] = tp
 	s.mu.Unlock()
 
-	s.vars.Add("registrations", 1)
 	s.log.Info("topology registered",
 		"id", id, "kind", kind, "nodes", topo.NumNodes(), "links", topo.NumLinks(),
 		"producer", producer, "capacity", capacity)
@@ -283,8 +280,8 @@ type PartitionSpec struct {
 }
 
 // SolveOptions is the JSON projection of faircache.Options accepted by
-// solve requests. As of v1's consolidated schema it is the canonical
-// home of every per-solve knob, including the algorithm selection.
+// solve requests: the one home of every per-solve knob, including the
+// algorithm selection.
 type SolveOptions struct {
 	// Algorithm is Appx, Dist, Hopc, Cont or Brtf (the paper's five);
 	// legacy aliases such as "approximate" parse, and responses echo the
@@ -312,14 +309,6 @@ type SolveOptions struct {
 	// trace field. Part of the coalescing identity (it changes the
 	// response), unlike the trace id (which never splits a flight).
 	Explain bool `json:"explain,omitempty"`
-
-	// PartitionRegions and PartitionHalo are the pre-consolidation
-	// spellings of Partition.Regions/Partition.Halo.
-	//
-	// Deprecated: use Partition. Still accepted; responses carry a
-	// deprecation note.
-	PartitionRegions int `json:"partitionRegions,omitempty"`
-	PartitionHalo    int `json:"partitionHalo,omitempty"`
 }
 
 func (o *SolveOptions) toOptions(capacity int) *faircache.Options {
@@ -352,10 +341,9 @@ func (o *SolveOptions) toOptions(capacity int) *faircache.Options {
 	return out
 }
 
-// SolveRequest is the body of POST /v1/topologies/{id}/solve. The
-// canonical v1 shape nests every per-solve knob under Options; the flat
-// fields remain accepted for older clients and are folded into Options
-// by normalize, with deprecation notes echoed in the response.
+// SolveRequest is the body of POST /v1/topologies/{id}/solve. Every
+// per-solve knob lives under Options; the strict decoder rejects any other
+// field.
 type SolveRequest struct {
 	// Chunks is the number of distinct chunks to place (default 5).
 	Chunks int `json:"chunks,omitempty"`
@@ -365,66 +353,23 @@ type SolveRequest struct {
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 	// Options tunes the algorithm; zero values mean paper defaults.
 	Options *SolveOptions `json:"options,omitempty"`
-
-	// Algorithm, Workers, PartitionRegions and PartitionHalo are the
-	// pre-consolidation flat spellings of the same-named Options fields.
-	//
-	// Deprecated: set them inside Options. Still accepted (nested values
-	// win); responses carry a deprecation note.
-	Algorithm        string `json:"algorithm,omitempty"`
-	Workers          int    `json:"workers,omitempty"`
-	PartitionRegions int    `json:"partitionRegions,omitempty"`
-	PartitionHalo    int    `json:"partitionHalo,omitempty"`
 }
 
-// normalize folds the deprecated flat request fields into the canonical
-// nested Options (nested values win over flat ones), resolves the
-// algorithm to its canonical name, and returns the deprecation notes to
-// echo in the response envelope. The returned SolveOptions is a
-// normalized copy: its Algorithm holds the canonical name and legacy
-// partition fields are folded into Partition, which makes its JSON
-// encoding a canonical coalescing identity.
-func (req *SolveRequest) normalize() (faircache.Algorithm, *SolveOptions, []string, *Error) {
+// normalize resolves the algorithm to its canonical name and returns a
+// normalized copy of the options whose JSON encoding is the canonical
+// coalescing identity.
+func (req *SolveRequest) normalize() (faircache.Algorithm, *SolveOptions, *Error) {
 	opts := &SolveOptions{}
 	if req.Options != nil {
 		o := *req.Options
 		opts = &o
 	}
-	var notes []string
-	if req.Algorithm != "" {
-		if opts.Algorithm == "" {
-			opts.Algorithm = req.Algorithm
-		}
-		notes = append(notes, `flat "algorithm" is deprecated; use options.algorithm`)
-	}
-	if req.Workers != 0 {
-		if opts.Workers == 0 {
-			opts.Workers = req.Workers
-		}
-		notes = append(notes, `flat "workers" is deprecated; use options.workers`)
-	}
-	if req.PartitionRegions != 0 || req.PartitionHalo != 0 {
-		if opts.PartitionRegions == 0 && opts.PartitionHalo == 0 {
-			opts.PartitionRegions = req.PartitionRegions
-			opts.PartitionHalo = req.PartitionHalo
-		}
-		notes = append(notes, `flat "partitionRegions"/"partitionHalo" are deprecated; use options.partition`)
-	}
-	if opts.PartitionRegions != 0 || opts.PartitionHalo != 0 {
-		if req.Options != nil && (req.Options.PartitionRegions != 0 || req.Options.PartitionHalo != 0) {
-			notes = append(notes, `options.partitionRegions/partitionHalo are deprecated; use options.partition`)
-		}
-		if opts.Partition == nil {
-			opts.Partition = &PartitionSpec{Regions: opts.PartitionRegions, Halo: opts.PartitionHalo}
-		}
-		opts.PartitionRegions, opts.PartitionHalo = 0, 0
-	}
 	alg, err := faircache.ParseAlgorithm(opts.Algorithm)
 	if err != nil {
-		return "", nil, nil, badRequestf("%v", err)
+		return "", nil, badRequestf("%v", err)
 	}
 	opts.Algorithm = alg.String()
-	return alg, opts, notes, nil
+	return alg, opts, nil
 }
 
 // SolveResponse reports a committed one-shot placement. Algorithm
@@ -457,8 +402,6 @@ type SolveResponse struct {
 	// Trace is the per-phase explain breakdown, present only when the
 	// request set options.explain.
 	Trace *faircache.ExplainReport `json:"trace,omitempty"`
-	// Deprecated lists the deprecated request fields this call used.
-	Deprecated []string `json:"deprecated,omitempty"`
 }
 
 // solveKey is the canonical coalescing identity of a solve: requests
@@ -493,9 +436,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("chunks must be >= 1, got %d", req.Chunks))
 		return
 	}
-	alg, opts, notes, aerr := req.normalize()
+	alg, opts, aerr := req.normalize()
 	if aerr != nil {
 		s.writeError(w, aerr)
+		return
+	}
+	// A committed solve becomes the topology's placement, so it must fit
+	// the registered capacity; per-solve capacities may only lower it.
+	c := opts.Capacity
+	for _, v := range opts.Capacities {
+		c = max(c, v)
+	}
+	if c > tp.capacity {
+		s.writeError(w, badRequestf("solve capacity %d exceeds the topology's capacity %d", c, tp.capacity))
 		return
 	}
 	timeout := s.opts.SolveTimeout
@@ -535,7 +488,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		})
 		if shared {
 			s.metrics.coalesceHits.WithLabelValues("solve").Inc()
-			s.vars.Add("coalesced_solves", 1)
 		} else {
 			s.metrics.coalesceFlights.WithLabelValues("solve").Inc()
 		}
@@ -545,10 +497,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The flight's response is shared between callers: shallow-copy it so
-	// the per-caller coalesced flag and deprecation notes never race.
+	// the per-caller coalesced flag never races.
 	resp := *(v.(*SolveResponse))
 	resp.Coalesced = shared
-	resp.Deprecated = notes
 	writeJSON(w, http.StatusOK, &resp)
 }
 
@@ -581,29 +532,15 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 		if err != nil {
 			return nil, err
 		}
-		prev := tp.snap.Load()
-		holders := make(map[int][]int, len(res.Holders))
-		for chunk, nodes := range res.Holders {
-			holders[chunk] = append([]int(nil), nodes...)
-		}
-		snap := &Snapshot{
-			Version:      tp.version + 1,
-			Source:       "solve:" + res.Algorithm.String(),
-			Producer:     tp.producer,
-			Chunks:       chunks,
-			Holders:      holders,
-			Counts:       append([]int(nil), res.Counts...),
-			Clock:        prev.Clock,
-			Solves:       prev.Solves + 1,
-			Publications: prev.Publications,
-		}
 		// WAL first, snapshot swap second: the record carries the full
-		// committed snapshot, so recovery replays absolute state.
-		if jerr := s.journal.append(cctx, &WALRecord{Type: WALSolve, ID: tp.id, Snap: snap},
-			func() { tp.commit(snap) }); jerr != nil {
-			return nil, jerr
+		// committed snapshot, so recovery loads absolute state. Then the
+		// engine (if built) takes the solve's placement.
+		snap := afterSolve(tp.snap.Load(), res, chunks)
+		snap.Version = tp.version + 1
+		if err := tp.commitLogged(cctx, s.journal, WALSolve, snap); err != nil {
+			return nil, err
 		}
-		s.vars.Add("solves", 1)
+		tp.reload()
 		if res.Partition != nil {
 			s.metrics.stitchRebids.Add(float64(res.Partition.RebidCandidates))
 			s.metrics.stitchDropped.Add(float64(res.Partition.DroppedCopies))
@@ -634,6 +571,42 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 	return v.(*SolveResponse), nil
 }
 
+// afterSolve is the snapshot a committed solve of chunks chunks leaves:
+// its placement replaces every copy, the chunk-id space grows to cover
+// it, and the solved ids stop being publications (no expiry, no longer
+// expired) while later published ids keep their lifecycle.
+func afterSolve(prev *Snapshot, res *faircache.Result, chunks int) *Snapshot {
+	holders := make(map[int][]int, len(res.Holders))
+	for chunk, nodes := range res.Holders {
+		if len(nodes) > 0 {
+			holders[chunk] = append([]int(nil), nodes...)
+		}
+	}
+	expiry := make(map[int]int)
+	for k, exp := range prev.Expiry {
+		if k >= chunks {
+			expiry[k] = exp
+		}
+	}
+	from, to := max(prev.ExpiredFrom, chunks), prev.ExpiredTo
+	if from >= to {
+		from, to = 0, 0
+	}
+	return &Snapshot{
+		Source:       "solve:" + res.Algorithm.String(),
+		Producer:     prev.Producer,
+		Chunks:       max(prev.Chunks, chunks),
+		Holders:      holders,
+		Counts:       append([]int(nil), res.Counts...),
+		Clock:        prev.Clock,
+		Expiry:       expiry,
+		ExpiredFrom:  from,
+		ExpiredTo:    to,
+		Solves:       prev.Solves + 1,
+		Publications: prev.Publications,
+	}
+}
+
 // PublishRequest is the body of POST /v1/topologies/{id}/publish. An
 // empty body publishes one chunk.
 type PublishRequest struct {
@@ -642,7 +615,7 @@ type PublishRequest struct {
 	Count int `json:"count,omitempty"`
 }
 
-// PublicationInfo reports one online arrival.
+// PublicationInfo reports one publication.
 type PublicationInfo struct {
 	Chunk      int   `json:"chunk"`
 	Time       int   `json:"time"`
@@ -685,14 +658,17 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 
 	v, err := tp.do(r.Context(), func(cctx context.Context) (any, error) {
+		eng, err := tp.engineFor(cctx)
+		if err != nil {
+			return nil, err
+		}
 		pubs := make([]PublicationInfo, 0, req.Count)
 		for i := 0; i < req.Count; i++ {
-			pub, err := tp.online.PublishCtx(cctx)
+			pub, err := eng.Publish(cctx, tp.chunkTTL)
 			if err != nil {
+				tp.reload()
 				return nil, err
 			}
-			s.vars.Add("publications", 1)
-			s.vars.Add("evictions", int64(len(pub.Expired)))
 			pubs = append(pubs, PublicationInfo{
 				Chunk:      pub.Chunk,
 				Time:       pub.Time,
@@ -700,25 +676,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 				Expired:    pub.Expired,
 			})
 		}
-		os := tp.online.Snapshot()
 		prev := tp.snap.Load()
-		snap := &Snapshot{
-			Version:      tp.version + 1,
-			Source:       "publish",
-			Producer:     tp.producer,
-			Chunks:       os.Published,
-			Holders:      os.Holders,
-			Counts:       os.Counts,
-			Clock:        os.Clock,
-			Solves:       prev.Solves,
-			Publications: prev.Publications + len(pubs),
-		}
-		// The record's Clock is the online system's absolute publication
-		// count, so recovery replays exactly that many arrivals and TTL
-		// expiry falls on the same ticks.
-		if jerr := s.journal.append(cctx, &WALRecord{Type: WALPublish, ID: tp.id, Snap: snap, Count: len(pubs)},
-			func() { tp.commit(snap) }); jerr != nil {
-			return nil, jerr
+		snap := tp.stage("publish", prev.Solves, prev.Publications+len(pubs))
+		if err := tp.commitLogged(cctx, s.journal, WALPublish, snap); err != nil {
+			return nil, err
 		}
 		return &PublishResponse{
 			Version:      snap.Version,
@@ -781,7 +742,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	holders := snap.Holders[chunk]
 	served, hops, fromProducer := nearestServer(dist, holders, snap.Producer)
-	s.vars.Add("lookups", 1)
 	writeJSON(w, http.StatusOK, LookupResponse{
 		Version:      snap.Version,
 		Chunk:        chunk,
@@ -874,7 +834,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		v, shared, err = tp.reportG.Do(r.Context(), key, build)
 		if shared {
 			s.metrics.coalesceHits.WithLabelValues("report").Inc()
-			s.vars.Add("coalesced_reports", 1)
 		} else {
 			s.metrics.coalesceFlights.WithLabelValues("report").Inc()
 		}
@@ -883,7 +842,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.vars.Add("reports", 1)
 	resp := *(v.(*ReportResponse))
 	resp.Coalesced = shared
 	writeJSON(w, http.StatusOK, &resp)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"slices"
 	"strconv"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics/prom"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -23,14 +21,14 @@ import (
 const (
 	WALRegister = "register" // a topology was registered
 	WALSolve    = "solve"    // a one-shot solve committed
-	WALPublish  = "publish"  // a batch of online publications committed
+	WALPublish  = "publish"  // a batch of publications committed
 	WALAdapt    = "adapt"    // a demand adaptation pass committed
 	WALDelete   = "delete"   // a topology was unregistered
 )
 
 // WALRecord is the JSON payload of one WAL record. Register records
 // carry the full generator spec so the graph is rebuilt
-// deterministically; solve and publish records carry the complete
+// deterministically; solve, publish and adapt records carry the complete
 // committed snapshot (absolute state, not a delta), so recovery never
 // depends on whether earlier records were themselves recorded.
 type WALRecord struct {
@@ -42,12 +40,9 @@ type WALRecord struct {
 	Spec     *RegisterRequest `json:"spec,omitempty"`
 	Producer int              `json:"producer,omitempty"`
 	Capacity int              `json:"capacity,omitempty"`
-	// Solve and publish: the full snapshot as committed (including
-	// Version, Source, Clock — the publish clock makes TTL expiry replay
-	// exactly).
+	// Solve, publish and adapt: the full snapshot as committed, which
+	// the topology's engine loads on recovery.
 	Snap *Snapshot `json:"snap,omitempty"`
-	// Publish only: publications in this batch.
-	Count int `json:"count,omitempty"`
 }
 
 // WALTopology is one topology's durable state inside a WAL snapshot.
@@ -57,9 +52,6 @@ type WALTopology struct {
 	Spec     RegisterRequest `json:"spec"`
 	Producer int             `json:"producer"`
 	Capacity int             `json:"capacity"`
-	// Clock is the online system's publication count; recovery replays
-	// exactly this many publications through the deterministic engine.
-	Clock int `json:"clock"`
 	// Snap is the last committed snapshot, nil when only the
 	// registration has committed.
 	Snap *Snapshot `json:"snap,omitempty"`
@@ -122,9 +114,6 @@ func (sh *walShadow) apply(rec *WALRecord) error {
 			return fmt.Errorf("%s record for %s has no snapshot", rec.Type, rec.ID)
 		}
 		ts.Snap = rec.Snap
-		if rec.Type == WALPublish {
-			ts.Clock = rec.Snap.Clock
-		}
 	case WALDelete:
 		delete(sh.topos, rec.ID)
 	default:
@@ -192,10 +181,7 @@ func LoadWALState(dir string) (*WALState, error) {
 // runs the commit callback and nothing else, byte-for-byte today's
 // behavior.
 type journal struct {
-	vars *expvar.Map // the owning server's counters
-	// appendDur observes WAL append latency (nil when metrics are not
-	// wired, e.g. in journal-only tests).
-	appendDur *prom.Histogram
+	metrics *serverMetrics // the owning server's instruments
 
 	mu        sync.Mutex
 	log       *wal.Log
@@ -230,11 +216,9 @@ func (j *journal) append(ctx context.Context, rec *WALRecord, commit func()) err
 	defer j.mu.Unlock()
 	start := time.Now()
 	err = j.log.Append(payload)
-	if j.appendDur != nil {
-		j.appendDur.Observe(time.Since(start).Seconds())
-	}
+	j.metrics.walAppendDuration.Observe(time.Since(start).Seconds())
 	if err != nil {
-		j.vars.Add("wal_errors", 1)
+		j.metrics.walAppendErrors.Inc()
 		return err
 	}
 	if err := j.shadow.apply(rec); err != nil {
@@ -243,13 +227,12 @@ func (j *journal) append(ctx context.Context, rec *WALRecord, commit func()) err
 	if commit != nil {
 		commit()
 	}
-	j.vars.Add("wal_records", 1)
 	j.sinceSnap++
 	if j.every > 0 && j.sinceSnap >= j.every {
 		// The mutation is already durable and committed; a failed
 		// snapshot only delays compaction, so it is not a client error.
 		if err := j.snapshotLocked(); err != nil {
-			j.vars.Add("wal_snapshot_errors", 1)
+			j.metrics.walSnapshotErrors.Inc()
 		}
 	}
 	return nil
@@ -264,7 +247,7 @@ func (j *journal) snapshotLocked() error {
 		return err
 	}
 	j.sinceSnap = 0
-	j.vars.Add("wal_snapshots", 1)
+	j.metrics.walSnapshots.Inc()
 	return nil
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,37 +42,45 @@ func startService(t *testing.T) (*httptest.Server, string) {
 	return ts, reg.ID
 }
 
-// readCounters samples the faircached expvar map from /debug/vars.
+// readCounters samples the per-endpoint request counters from /metrics,
+// keyed by endpoint, plus their sum under "all".
 func readCounters(t *testing.T, baseURL string) map[string]int64 {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/debug/vars")
+	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
-		t.Fatalf("debug/vars: %v", err)
+		t.Fatalf("metrics: %v", err)
 	}
 	defer resp.Body.Close()
-	var all struct {
-		Faircached map[string]json.Number `json:"faircached"`
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
-		t.Fatalf("debug/vars decode: %v", err)
-	}
-	out := make(map[string]int64, len(all.Faircached))
-	for k, v := range all.Faircached {
-		if n, err := v.Int64(); err == nil {
-			out[k] = n
+	const prefix = `faircached_requests_total{endpoint="`
+	out := map[string]int64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
 		}
+		endpoint, value, ok := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseInt(value, 10, 64)
+		if !ok || err != nil {
+			t.Fatalf("malformed sample %q", line)
+		}
+		out[endpoint] = n
+		out["all"] += n
 	}
 	return out
 }
 
 // TestThroughputSmoke runs the load generator against a live service and
 // asserts (a) the workload mostly succeeds with nonzero throughput and
-// (b) the request/publication/lookup counters on /debug/vars increase
+// (b) the request/publish/lookup counters on /metrics increase
 // monotonically across samples taken before, during and after the run.
 func TestThroughputSmoke(t *testing.T) {
 	ts, id := startService(t)
 
-	keys := []string{"requests", "publications", "lookups"}
+	keys := []string{"all", "publish", "lookup"}
 	samples := []map[string]int64{readCounters(t, ts.URL)}
 
 	done := make(chan struct{})

@@ -8,9 +8,7 @@ import (
 )
 
 // serverMetrics is the server's Prometheus instrument set, served on
-// GET /metrics. It replaces expvar as the first-class observability
-// surface (the expvar map stays as a shim for /debug/vars consumers).
-// Registry callbacks read live server state at scrape time, so gauges
+// GET /metrics — the daemon's one metrics surface. Registry callbacks read live server state at scrape time, so gauges
 // like worker queue depth and WAL fsync lag never go stale.
 type serverMetrics struct {
 	registry *prom.Registry
@@ -47,6 +45,12 @@ type serverMetrics struct {
 	// Demand and durability instruments.
 	demandEvents      *prom.Counter
 	walAppendDuration *prom.Histogram
+	walAppendErrors   *prom.Counter
+	walSnapshots      *prom.Counter
+	walSnapshotErrors *prom.Counter
+
+	// workerPanics counts commands whose topology worker panicked.
+	workerPanics *prom.Counter
 }
 
 // solveBuckets widen the default latency buckets upward: partitioned
@@ -91,6 +95,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Demand request events ingested via POST requests batches."),
 		walAppendDuration: reg.Histogram("faircached_wal_append_duration_seconds",
 			"Latency of WAL record appends (includes fsync under the always policy).", nil),
+		walAppendErrors: reg.Counter("faircached_wal_append_errors_total",
+			"WAL appends that failed; the mutation was not committed."),
+		walSnapshots: reg.Counter("faircached_wal_snapshots_total",
+			"Full-state WAL snapshots written."),
+		walSnapshotErrors: reg.Counter("faircached_wal_snapshot_errors_total",
+			"Full-state WAL snapshots that failed (compaction is delayed, nothing is lost)."),
+		workerPanics: reg.Counter("faircached_worker_panics_total",
+			"Commands whose topology worker panicked; each was answered with an internal error."),
 	}
 	reg.GaugeFunc("faircached_topologies",
 		"Registered topologies.", func() float64 {

@@ -44,6 +44,17 @@ func parseScrape(t *testing.T, text string) (map[string]float64, map[string]stri
 	return samples, types
 }
 
+// scrape fetches and decodes one /metrics exposition.
+func scrape(c *testClient) map[string]float64 {
+	c.t.Helper()
+	resp, raw := c.do("GET", "/metrics", nil)
+	if resp.StatusCode != http.StatusOK {
+		c.t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+	samples, _ := parseScrape(c.t, string(raw))
+	return samples
+}
+
 // TestMetricsEndpoint drives traffic, scrapes /metrics and checks the
 // exposition is well-formed Prometheus text: declared types, sorted
 // families, and internally consistent histograms (cumulative buckets,

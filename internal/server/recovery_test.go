@@ -38,7 +38,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 
 	c1, s1 := newTestClient(t, opts)
 	reg := c1.registerGrid(4, 4, 5)
-	c1.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "appx", Chunks: 4}, nil, http.StatusOK)
+	c1.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 4, Options: &SolveOptions{Algorithm: "appx"}}, nil, http.StatusOK)
 	for i := 0; i < 7; i++ {
 		c1.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, nil, http.StatusOK)
 	}
@@ -177,6 +177,10 @@ func TestRecoveryWithSnapshotsAndCompaction(t *testing.T) {
 		c1.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, nil, http.StatusOK)
 	}
 	before := reportOf(c1, reg.ID)
+	// Solver counters are runtime state: the publications built the
+	// topology's engine (a cold cost-model build), which a restart
+	// defers to the next mutation.
+	before.Solver = faircache.SolverStats{}
 	c1.srv.Close()
 	s1.Close()
 
@@ -210,43 +214,26 @@ func TestEmptyDataDirStaysInMemory(t *testing.T) {
 	}
 }
 
-// TestExpvarIsolationBetweenServers asserts the satellite fix: two
-// Servers in one process keep independent counter maps, so driving one
-// leaves the other's /debug/vars untouched.
-func TestExpvarIsolationBetweenServers(t *testing.T) {
+// TestMetricsIsolationBetweenServers: two Servers in one process keep
+// independent metric registries, so driving one leaves the other's
+// /metrics untouched.
+func TestMetricsIsolationBetweenServers(t *testing.T) {
 	busy, busySrv := newTestClient(t, Options{})
 	idle, idleSrv := newTestClient(t, Options{})
 	reg := busy.registerGrid(3, 3, 4)
 	for i := 0; i < 5; i++ {
 		busy.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, nil, http.StatusOK)
 	}
-
-	counters := func(c *testClient) map[string]float64 {
-		var all map[string]any
-		c.doJSON("GET", "/debug/vars", nil, &all, http.StatusOK)
-		fc, ok := all["faircached"].(map[string]any)
-		if !ok {
-			t.Fatalf("/debug/vars has no faircached map: %v", all)
-		}
-		out := make(map[string]float64, len(fc))
-		for k, v := range fc {
-			if f, ok := v.(float64); ok {
-				out[k] = f
-			}
-		}
-		return out
+	busyM, idleM := scrape(busy), scrape(idle)
+	register, publish := `faircached_requests_total{endpoint="register"}`, `faircached_requests_total{endpoint="publish"}`
+	if busyM[register] != 1 || busyM[publish] != 5 || busyM["faircached_topologies"] != 1 {
+		t.Errorf("busy server counters wrong: register %v publish %v topologies %v", busyM[register], busyM[publish], busyM["faircached_topologies"])
 	}
-	busyVars, idleVars := counters(busy), counters(idle)
-	if busyVars["registrations"] != 1 || busyVars["publications"] != 5 {
-		t.Errorf("busy server counters wrong: %v", busyVars)
+	if idleM[register] != 0 || idleM[publish] != 0 || idleM["faircached_topologies"] != 0 {
+		t.Errorf("idle server leaked counters from its sibling: register %v publish %v topologies %v", idleM[register], idleM[publish], idleM["faircached_topologies"])
 	}
-	for _, key := range []string{"registrations", "publications", "solves", "errors", "lookups"} {
-		if idleVars[key] != 0 {
-			t.Errorf("idle server leaked counter %s=%v from its sibling", key, idleVars[key])
-		}
-	}
-	if busySrv.vars == idleSrv.vars {
-		t.Error("two Servers share one expvar map")
+	if busySrv.metrics.registry == idleSrv.metrics.registry {
+		t.Error("two Servers share one metrics registry")
 	}
 }
 

@@ -1,16 +1,25 @@
 // Package server implements faircached, a concurrent placement service
 // wrapping the faircache engine. It owns a registry of named topologies;
 // each registered topology gets a single-writer worker goroutine that
-// serializes mutations (one-shot solves, online publications with TTL
-// expiry) while read endpoints — placement lookups, fairness reports,
-// storage curves — are served concurrently from an atomically swapped
-// immutable snapshot of the last committed state.
+// serializes mutations while read endpoints — placement lookups, fairness
+// reports, storage curves — are served concurrently from an atomically
+// swapped immutable snapshot of the last committed state.
+//
+// Each topology has one placement state. A solve replaces it (the
+// response is exactly what faircache.Solver.Solve returns); publications
+// place new chunk ids against it, expiring published chunks past their
+// TTL; requests and adaptation passes run on it. Publish, requests and
+// adapt mutate the topology's one placement engine, a warm fork of its
+// Solver's cost model, which is loaded from the committed snapshot when
+// built, after a solve commits, and after a mutation that fails to
+// commit.
 //
 // With Options.DataDir set the service is durable: every committed
 // mutation is appended to a write-ahead log (internal/wal) before the
 // snapshot swap, periodic full-state snapshots bound replay time, and
 // New recovers the registry — same topology ids, same versions, same
-// holder sets — from the log on restart.
+// holder sets — from the log on restart. A worker that panics answers
+// that one command with a typed 500 and keeps serving.
 //
 // Endpoints:
 //
@@ -19,7 +28,8 @@
 //	GET    /v1/topologies/{id}         one topology's info
 //	DELETE /v1/topologies/{id}         unregister and stop the worker
 //	POST   /v1/topologies/{id}/solve   one-shot placement (appx/dist/hopc/cont/brtf)
-//	POST   /v1/topologies/{id}/publish online chunk arrival(s)
+//	POST   /v1/topologies/{id}/publish place the next chunk id(s) against the
+//	                                   committed placement
 //	POST   /v1/topologies/{id}/requests ingest demand events (lazy-inits the
 //	                                   adaptive demand subsystem)
 //	POST   /v1/topologies/{id}/adapt   run one demand adaptation pass and
@@ -28,7 +38,7 @@
 //	GET    /v1/topologies/{id}/report  snapshot + fairness metrics + storage curve
 //	GET    /healthz                    liveness
 //	GET    /metrics                    Prometheus text-format metrics
-//	GET    /debug/vars                 expvar globals + this server's counters (legacy shim)
+//	GET    /debug/trace                recent solve and adapt phase spans
 //
 // Every error is a typed JSON object {"error":{"code","message"}} with a
 // matching HTTP status.
@@ -36,11 +46,9 @@ package server
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"reflect"
 	"slices"
 	"sync"
 	"time"
@@ -138,7 +146,6 @@ type Server struct {
 	mux     *http.ServeMux
 	start   time.Time
 	log     *slog.Logger
-	vars    *expvar.Map    // per-Server counters (legacy shim; /metrics is canonical)
 	metrics *serverMetrics // Prometheus instruments served on GET /metrics
 	journal *journal       // nil in in-memory mode
 
@@ -159,16 +166,13 @@ type Server struct {
 // New returns a ready-to-serve placement service. With Options.DataDir
 // set it first recovers the registry from the directory's write-ahead
 // log: the topology graphs are rebuilt from their recorded generator
-// specs, online state is replayed publication by publication (the
-// engine is deterministic, so TTL expiry and holder sets come back
-// identical), and the recovered holder sets are verified against the
-// logged committed snapshots.
+// specs and each topology resumes at its last logged snapshot, which its
+// placement engine loads on first use.
 func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:   opts.withDefaults(),
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
-		vars:   new(expvar.Map).Init(),
 		topos:  make(map[string]*topology),
 		tracer: trace.New(0),
 	}
@@ -187,7 +191,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.metrics.registry.ServeHTTP))
-	s.mux.HandleFunc("GET /debug/vars", s.instrument("debug_vars", s.handleVars))
 	s.mux.HandleFunc("GET /debug/trace", s.instrument("debug_trace", s.handleDebugTrace))
 	s.mux.HandleFunc("POST /v1/topologies", s.instrument("register", s.handleRegister))
 	s.mux.HandleFunc("GET /v1/topologies", s.instrument("list", s.handleList))
@@ -232,7 +235,7 @@ func (s *Server) openJournal() error {
 		log.Close()
 		return fmt.Errorf("server: WAL recovery: %w", err)
 	}
-	s.journal = &journal{vars: s.vars, appendDur: s.metrics.walAppendDuration, log: log, shadow: shadow, every: s.opts.SnapshotEvery}
+	s.journal = &journal{metrics: s.metrics, log: log, shadow: shadow, every: s.opts.SnapshotEvery}
 	s.walRecovery = time.Since(begin)
 	rsp.SetInt("topologies", int64(len(s.topos)))
 	rsp.SetInt("records", int64(len(recovered.Records)))
@@ -245,10 +248,8 @@ func (s *Server) openJournal() error {
 	return nil
 }
 
-// restore rebuilds the live registry from recovered WAL state. Replay is
-// deterministic, so re-publishing Clock arrivals reproduces the online
-// system (storage, expiry clocks, chunk ids) exactly; the recovered
-// holder sets are checked against the last logged committed snapshot.
+// restore rebuilds the live registry from recovered WAL state: each
+// topology resumes at its last logged snapshot.
 func (s *Server) restore(shadow *walShadow) error {
 	st := shadow.state()
 	for i := range st.Topologies {
@@ -257,39 +258,18 @@ func (s *Server) restore(shadow *walShadow) error {
 		if err != nil {
 			return fmt.Errorf("topology %s: rebuilding %q graph: %w", ts.ID, ts.Kind, err)
 		}
-		online, err := faircache.NewOnline(topo, ts.Producer, &faircache.Options{
-			Capacity:       ts.Capacity,
-			ChunkTTL:       ts.Spec.ChunkTTL,
-			FairnessWeight: ts.Spec.FairnessWeight,
-		})
+		solver, err := faircache.NewSolver(topo)
 		if err != nil {
-			return fmt.Errorf("topology %s: rebuilding online system: %w", ts.ID, err)
+			return fmt.Errorf("topology %s: %w", ts.ID, err)
 		}
-		for c := 0; c < ts.Clock; c++ {
-			if _, err := online.Publish(); err != nil {
-				return fmt.Errorf("topology %s: replaying publication %d/%d: %w", ts.ID, c+1, ts.Clock, err)
-			}
-		}
-		if ts.Snap != nil && ts.Snap.Source == "publish" {
-			os := online.Snapshot()
-			if os.Clock != ts.Snap.Clock || !reflect.DeepEqual(os.Holders, ts.Snap.Holders) ||
-				!reflect.DeepEqual(os.Counts, ts.Snap.Counts) {
-				return fmt.Errorf("topology %s: replayed online state diverges from the logged snapshot (clock %d vs %d)",
-					ts.ID, os.Clock, ts.Snap.Clock)
-			}
-		}
-		version := 1
-		if ts.Snap != nil {
-			version = ts.Snap.Version
-		}
-		tp := newTopology(ts.ID, kind, topo, ts.Producer, ts.Capacity, online, version, ts.Snap)
+		tp := newTopology(ts.ID, kind, topo, solver, &ts.Spec, ts.Producer, ts.Capacity, ts.Snap)
 		s.wireObservability(tp)
 		s.topos[ts.ID] = tp
+		snap := tp.snap.Load()
 		s.log.Debug("topology recovered",
-			"id", ts.ID, "kind", kind, "nodes", topo.NumNodes(), "version", version, "clock", ts.Clock)
+			"id", ts.ID, "kind", kind, "nodes", topo.NumNodes(), "version", snap.Version, "clock", snap.Clock)
 	}
 	s.nextID = shadow.nextID
-	s.vars.Add("recovered_topologies", int64(len(st.Topologies)))
 	return nil
 }
 
@@ -341,18 +321,14 @@ func (s *Server) ids() []string {
 }
 
 // instrument wraps a handler with per-endpoint request, error and
-// latency accounting in both the Prometheus registry (the canonical
-// surface) and this Server's own expvar map (the legacy shim). Both are
-// per-instance, so embedded servers and tests never share counters.
+// latency accounting in this Server's own Prometheus registry, so
+// embedded servers and tests never share counters.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.vars.Add("requests", 1)
-		s.vars.Add("requests_"+name, 1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
 		elapsed := time.Since(start)
-		s.vars.Add("latency_us_"+name, elapsed.Microseconds())
 		s.metrics.requests.WithLabelValues(name).Inc()
 		s.metrics.duration.WithLabelValues(name).Observe(elapsed.Seconds())
 		if rec.status >= 400 {
@@ -372,6 +348,11 @@ func (s *Server) wireObservability(tp *topology) {
 	})
 	tp.solveG.OnDetach = s.detachHook("solve", tp.id)
 	tp.reportG.OnDetach = s.detachHook("report", tp.id)
+	tp.onPanic = func(ctx context.Context, p any) {
+		s.metrics.workerPanics.Inc()
+		s.log.Error("topology worker panicked; command failed, engine reloads from the committed snapshot",
+			"topology", tp.id, "panic", fmt.Sprint(p), "traceId", traceIDFrom(ctx))
+	}
 }
 
 // detachHook builds the coalesce-group detach callback for one endpoint:
@@ -387,21 +368,4 @@ func (s *Server) detachHook(endpoint, id string) func(ctx context.Context, key s
 			"endpoint", endpoint, "topology", id, "key", key,
 			"flightAborted", alone, "traceId", traceIDFrom(ctx))
 	}
-}
-
-// handleVars serves the same shape expvar.Handler does — every published
-// global variable — plus this server's "faircached" counter map, which
-// is deliberately NOT registered in the process-global expvar namespace
-// (registration there is permanent and would bleed counters across
-// Server instances).
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "faircached" {
-			return // never collide with the per-server map below
-		}
-		fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
-	})
-	fmt.Fprintf(w, "%q: %s\n}\n", "faircached", s.vars.String())
 }

@@ -166,7 +166,7 @@ func TestSolveEveryAlgorithm(t *testing.T) {
 	for _, alg := range []string{"appx", "dist", "hopc", "cont"} {
 		var out SolveResponse
 		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
-			SolveRequest{Algorithm: alg, Chunks: 3}, &out, http.StatusOK)
+			SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: alg}}, &out, http.StatusOK)
 		if out.Algorithm == "" || len(out.Holders) != 3 {
 			t.Fatalf("%s: bad solve response %+v", alg, out)
 		}
@@ -183,7 +183,7 @@ func TestSolveEveryAlgorithm(t *testing.T) {
 	small := c.registerGrid(2, 2, 0)
 	var out SolveResponse
 	c.doJSON("POST", "/v1/topologies/"+small.ID+"/solve",
-		SolveRequest{Algorithm: "brtf", Chunks: 1, Options: &SolveOptions{SearchBudget: 500}}, &out, http.StatusOK)
+		SolveRequest{Chunks: 1, Options: &SolveOptions{Algorithm: "brtf", SearchBudget: 500}}, &out, http.StatusOK)
 	if len(out.Holders) != 1 {
 		t.Fatalf("brtf: holders %v", out.Holders)
 	}
@@ -197,8 +197,7 @@ func TestSolvePartitioned(t *testing.T) {
 	reg := c.registerGrid(8, 8, 9)
 	var out SolveResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: 3,
-			Options: &SolveOptions{PartitionRegions: 4}}, &out, http.StatusOK)
+		SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "appx", Partition: &PartitionSpec{Regions: 4}}}, &out, http.StatusOK)
 	if out.Partition == nil {
 		t.Fatal("partitioned solve response has no partition report")
 	}
@@ -217,7 +216,7 @@ func TestSolvePartitioned(t *testing.T) {
 	// A global solve keeps the field empty.
 	var global SolveResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: 3}, &global, http.StatusOK)
+		SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "appx"}}, &global, http.StatusOK)
 	if global.Partition != nil {
 		t.Fatalf("global solve reported a partition: %+v", global.Partition)
 	}
@@ -229,22 +228,20 @@ func TestSolvePartitioned(t *testing.T) {
 	}
 	// Sharding is appx-only and the region count is validated.
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "dist", Chunks: 3,
-			Options: &SolveOptions{PartitionRegions: 4}}, http.StatusBadRequest, CodeBadRequest)
+		SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "dist", Partition: &PartitionSpec{Regions: 4}}}, http.StatusBadRequest, CodeBadRequest)
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: 3,
-			Options: &SolveOptions{PartitionRegions: 1000}}, http.StatusBadRequest, CodeBadRequest)
+		SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "appx", Partition: &PartitionSpec{Regions: 1000}}}, http.StatusBadRequest, CodeBadRequest)
 }
 
 func TestSolveValidation(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(3, 3, 4)
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "magic"}, http.StatusBadRequest, CodeBadRequest)
+		SolveRequest{Options: &SolveOptions{Algorithm: "magic"}}, http.StatusBadRequest, CodeBadRequest)
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: -2}, http.StatusBadRequest, CodeBadRequest)
+		SolveRequest{Chunks: -2, Options: &SolveOptions{Algorithm: "appx"}}, http.StatusBadRequest, CodeBadRequest)
 	c.wantError("POST", "/v1/topologies/nope/solve",
-		SolveRequest{Algorithm: "appx"}, http.StatusNotFound, CodeNotFound)
+		SolveRequest{Options: &SolveOptions{Algorithm: "appx"}}, http.StatusNotFound, CodeNotFound)
 }
 
 func TestSolveTimeout(t *testing.T) {
@@ -253,7 +250,7 @@ func TestSolveTimeout(t *testing.T) {
 	// The solve cannot finish within a nanosecond; the worker either
 	// skips it (queued past deadline) or discards the late result.
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: 2}, http.StatusGatewayTimeout, CodeTimeout)
+		SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "appx"}}, http.StatusGatewayTimeout, CodeTimeout)
 	// A timed-out solve must not have committed a snapshot.
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
@@ -332,7 +329,7 @@ func TestReport(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 9)
 	var solve SolveResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "appx", Chunks: 4}, &solve, http.StatusOK)
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 4, Options: &SolveOptions{Algorithm: "appx"}}, &solve, http.StatusOK)
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
 	if rep.Snapshot.Version != solve.Version {
@@ -355,30 +352,6 @@ func TestReport(t *testing.T) {
 	}
 }
 
-func TestSolveThenPublishKeepsOnlineState(t *testing.T) {
-	c, _ := newTestClient(t, Options{})
-	reg := c.registerGrid(4, 4, 5)
-	var p1 PublishResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, &p1, http.StatusOK)
-	var solve SolveResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "hopc", Chunks: 2}, &solve, http.StatusOK)
-	// The solve replaced the committed snapshot...
-	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
-	if rep.Snapshot.Source != "solve:Hopc" {
-		t.Fatalf("source = %q", rep.Snapshot.Source)
-	}
-	// ...but the online clock carries on from where it was.
-	var p2 PublishResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, &p2, http.StatusOK)
-	if p2.Clock != 2 || p2.Published != 2 {
-		t.Fatalf("online clock = %d published = %d after solve, want 2/2", p2.Clock, p2.Published)
-	}
-	if p2.Version != solve.Version+1 {
-		t.Fatalf("version %d, want %d", p2.Version, solve.Version+1)
-	}
-}
-
 func TestDeleteTopology(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(3, 3, 4)
@@ -392,47 +365,32 @@ func TestDeleteTopology(t *testing.T) {
 	}
 }
 
-func TestDebugVarsCounters(t *testing.T) {
+func TestMetricsCounters(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
-	read := func() map[string]json.RawMessage {
-		var all map[string]json.RawMessage
-		c.doJSON("GET", "/debug/vars", nil, &all, http.StatusOK)
-		var fc map[string]json.RawMessage
-		if raw, ok := all["faircached"]; ok {
-			if err := json.Unmarshal(raw, &fc); err != nil {
-				t.Fatalf("faircached vars: %v", err)
-			}
-		}
-		return fc
-	}
-	counter := func(m map[string]json.RawMessage, key string) int64 {
-		raw, ok := m[key]
-		if !ok {
-			return 0
-		}
-		var v int64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			t.Fatalf("counter %s = %s: %v", key, raw, err)
-		}
-		return v
-	}
-	before := read()
+	before := scrape(c)
 	reg := c.registerGrid(3, 3, 4)
 	var solve SolveResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "appx", Chunks: 2}, &solve, http.StatusOK)
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "appx"}}, &solve, http.StatusOK)
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, nil, http.StatusOK)
 	var lk LookupResponse
 	c.doJSON("GET", fmt.Sprintf("/v1/topologies/%s/lookup?chunk=0&node=0", reg.ID), nil, &lk, http.StatusOK)
-	after := read()
+	c.wantError("GET", "/v1/topologies/nope/report", nil, http.StatusNotFound, CodeNotFound)
+	after := scrape(c)
 
-	for _, key := range []string{"requests", "solves", "publications", "lookups", "registrations"} {
-		b, a := counter(before, key), counter(after, key)
-		if a <= b {
-			t.Errorf("counter %s did not increase: %d -> %d", key, b, a)
+	for _, ep := range []string{"register", "solve", "publish", "lookup", "report"} {
+		key := `faircached_requests_total{endpoint="` + ep + `"}`
+		if after[key] != before[key]+1 {
+			t.Errorf("%s: %v -> %v, want one more", key, before[key], after[key])
 		}
 	}
-	if counter(after, "latency_us_solve") <= counter(before, "latency_us_solve") {
-		t.Errorf("latency_us_solve did not grow")
+	if key := `faircached_request_errors_total{endpoint="report"}`; after[key] != before[key]+1 {
+		t.Errorf("%s: %v -> %v, want one more", key, before[key], after[key])
+	}
+	if key := `faircached_request_duration_seconds_count{endpoint="solve"}`; after[key] != before[key]+1 {
+		t.Errorf("%s did not record the solve", key)
+	}
+	if after["faircached_solve_duration_seconds_count"] != 1 {
+		t.Errorf("engine solve duration count = %v, want 1", after["faircached_solve_duration_seconds_count"])
 	}
 }
 
@@ -460,7 +418,7 @@ func TestReportSolverStats(t *testing.T) {
 	reg := c.registerGrid(4, 4, 9)
 	for _, alg := range []string{"appx", "appx", "hopc", "cont"} {
 		var solve SolveResponse
-		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: alg, Chunks: 3}, &solve, http.StatusOK)
+		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: alg}}, &solve, http.StatusOK)
 	}
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)

@@ -2,22 +2,19 @@ package server
 
 import (
 	"net/http"
-	"reflect"
 	"testing"
 )
 
-// TestSolveSchemaV1 is the table-driven contract test for the
-// consolidated v1 solve schema: nested options are canonical, the
-// deprecated flat fields still work but are flagged in the response
-// envelope, nested values win over flat ones, and algorithm aliases
-// echo their canonical names.
+// TestSolveSchemaV1 is the table-driven contract test for the v1 solve
+// schema: every per-solve knob lives under options, algorithm aliases
+// echo their canonical names, and the pre-consolidation flat spellings
+// are unknown fields the strict decoder answers with a typed 400.
 func TestSolveSchemaV1(t *testing.T) {
 	cases := []struct {
-		name           string
-		req            SolveRequest
-		wantAlgorithm  string
-		wantDeprecated []string
-		wantPartition  bool
+		name          string
+		req           any
+		wantAlgorithm string // "" expects a bad_request
+		wantPartition bool
 	}{
 		{
 			name:          "canonical nested options",
@@ -35,57 +32,34 @@ func TestSolveSchemaV1(t *testing.T) {
 			wantAlgorithm: "Hopc",
 		},
 		{
-			name:           "flat algorithm still accepted with note",
-			req:            SolveRequest{Chunks: 3, Algorithm: "cont"},
-			wantAlgorithm:  "Cont",
-			wantDeprecated: []string{`flat "algorithm" is deprecated; use options.algorithm`},
-		},
-		{
-			name:           "flat workers still accepted with note",
-			req:            SolveRequest{Chunks: 3, Workers: 1},
-			wantAlgorithm:  "Appx",
-			wantDeprecated: []string{`flat "workers" is deprecated; use options.workers`},
-		},
-		{
-			name:          "nested algorithm wins over flat",
-			req:           SolveRequest{Chunks: 3, Algorithm: "dist", Options: &SolveOptions{Algorithm: "appx"}},
-			wantAlgorithm: "Appx",
-			wantDeprecated: []string{
-				`flat "algorithm" is deprecated; use options.algorithm`,
-			},
-		},
-		{
-			name:           "flat partition fields fold into options.partition",
-			req:            SolveRequest{Chunks: 3, PartitionRegions: 2},
-			wantAlgorithm:  "Appx",
-			wantDeprecated: []string{`flat "partitionRegions"/"partitionHalo" are deprecated; use options.partition`},
-			wantPartition:  true,
-		},
-		{
-			name:           "options.partitionRegions still accepted with note",
-			req:            SolveRequest{Chunks: 3, Options: &SolveOptions{PartitionRegions: 2}},
-			wantAlgorithm:  "Appx",
-			wantDeprecated: []string{`options.partitionRegions/partitionHalo are deprecated; use options.partition`},
-			wantPartition:  true,
-		},
-		{
 			name:          "canonical options.partition carries no note",
 			req:           SolveRequest{Chunks: 3, Options: &SolveOptions{Partition: &PartitionSpec{Regions: 2}}},
 			wantAlgorithm: "Appx",
 			wantPartition: true,
 		},
+		{name: "flat algorithm rejected", req: map[string]any{"chunks": 3, "algorithm": "cont"}},
+		{name: "flat workers rejected", req: map[string]any{"chunks": 3, "workers": 1}},
+		{name: "flat algorithm beside nested options rejected", req: map[string]any{
+			"chunks": 3, "algorithm": "dist", "options": map[string]any{"algorithm": "appx"},
+		}},
+		{name: "flat partition fields rejected", req: map[string]any{"chunks": 3, "partitionRegions": 2}},
+		{name: "options.partitionRegions rejected", req: map[string]any{
+			"chunks": 3, "options": map[string]any{"partitionRegions": 2},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, _ := newTestClient(t, Options{})
 			reg := c.registerGrid(4, 4, 5)
+			path := "/v1/topologies/" + reg.ID + "/solve"
+			if tc.wantAlgorithm == "" {
+				c.wantError("POST", path, tc.req, http.StatusBadRequest, CodeBadRequest)
+				return
+			}
 			var resp SolveResponse
-			c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", tc.req, &resp, http.StatusOK)
+			c.doJSON("POST", path, tc.req, &resp, http.StatusOK)
 			if resp.Algorithm != tc.wantAlgorithm {
 				t.Errorf("algorithm = %q, want %q", resp.Algorithm, tc.wantAlgorithm)
-			}
-			if !reflect.DeepEqual(resp.Deprecated, tc.wantDeprecated) {
-				t.Errorf("deprecated notes = %#v, want %#v", resp.Deprecated, tc.wantDeprecated)
 			}
 			if (resp.Partition != nil) != tc.wantPartition {
 				t.Errorf("partition report present = %v, want %v", resp.Partition != nil, tc.wantPartition)
@@ -108,12 +82,13 @@ func TestSolveSchemaErrors(t *testing.T) {
 		code string
 	}{
 		{"unknown algorithm", SolveRequest{Options: &SolveOptions{Algorithm: "lru"}}, CodeBadRequest},
-		{"unknown flat algorithm", SolveRequest{Algorithm: "banana"}, CodeBadRequest},
+		{"unknown flat algorithm", map[string]any{"algorithm": "banana"}, CodeBadRequest},
 		{"unknown field", map[string]any{"algorithmm": "appx"}, CodeBadRequest},
 		{"negative chunks", SolveRequest{Chunks: -1}, CodeBadRequest},
 		{"partition on non-appx", SolveRequest{
 			Options: &SolveOptions{Algorithm: "dist", Partition: &PartitionSpec{Regions: 2}},
 		}, CodeBadRequest},
+		{"capacity above the topology's", SolveRequest{Options: &SolveOptions{Capacity: 6}}, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

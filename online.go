@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/online"
+	"repro/internal/costmodel"
+	"repro/internal/demand"
 )
 
 // Publication records one online chunk placement.
@@ -26,52 +26,44 @@ type Publication struct {
 // paper's future-work direction, Sec. VI): chunks are published over
 // time, stale chunks expire and are evicted, and each arrival is placed by
 // one fair-caching iteration against the live storage state. Storage is
-// recycled fairly over unbounded horizons.
+// recycled fairly over unbounded horizons. It is the publication view of
+// the placement engine an AdaptiveSystem runs.
 type OnlineSystem struct {
-	sys  *online.System
-	topo *Topology
+	a        *AdaptiveSystem
+	chunkTTL int
 }
 
 // NewOnline builds an online system on a topology. Options.Capacity sets
 // per-node storage and Options.ChunkTTL the chunk lifetime in subsequent
 // publications: 0 keeps the default of one capacity-worth, any positive
 // value is used verbatim (ChunkTTL = 1 evicts a chunk at the very next
-// publication), and any negative value means chunks never expire. See the
-// Options.ChunkTTL documentation for the exact mapping onto the internal
-// encoding.
+// publication), and any negative value means chunks never expire.
 func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) {
 	if opts != nil && opts.Capacity < 0 {
 		return nil, fmt.Errorf("%w: negative capacity %d", ErrBadArgument, opts.Capacity)
 	}
 	o := opts.withDefaults()
-	onlineOpts := online.Options{
-		Capacity: o.Capacity,
-		TTL:      o.Capacity, // default: one capacity-worth of arrivals
-		Core:     core.DefaultOptions(),
+	s, err := NewSolver(t)
+	if err != nil {
+		return nil, err
 	}
-	if opts != nil && opts.ChunkTTL != 0 {
-		onlineOpts.TTL = opts.ChunkTTL
-		if opts.ChunkTTL < 0 {
-			onlineOpts.TTL = 0 // never expire
-		}
-	}
-	onlineOpts.Core.FairnessWeight = o.FairnessWeight
-	onlineOpts.Core.BatteryWeight = o.BatteryWeight
+	co := core.DefaultOptions()
 	if o.AlphaStep > 0 {
-		onlineOpts.Core.ConFL.AlphaStep = o.AlphaStep
+		co.ConFL.AlphaStep = o.AlphaStep
 	}
 	if o.GammaStep > 0 {
-		onlineOpts.Core.ConFL.GammaStep = o.GammaStep
+		co.ConFL.GammaStep = o.GammaStep
 	}
 	if o.SpanQuorum > 0 {
-		onlineOpts.Core.ConFL.SpanQuorum = o.SpanQuorum
+		co.ConFL.SpanQuorum = o.SpanQuorum
 	}
-	onlineOpts.Core.Workers = o.Workers
-	sys, err := online.New(t.g, producer, onlineOpts)
+	co.Workers = o.Workers
+	a, err := s.newAdaptive(context.Background(), producer, 0, o.Capacity,
+		costmodel.Options{FairnessWeight: o.FairnessWeight, BatteryWeight: o.BatteryWeight}, co, demand.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
+		return nil, err
 	}
-	return &OnlineSystem{sys: sys, topo: t}, nil
+	return &OnlineSystem{a: a, chunkTTL: o.ChunkTTL}, nil
 }
 
 // Publish places the next chunk, evicting expired ones first. It is
@@ -87,72 +79,66 @@ func (o *OnlineSystem) Publish() (*Publication, error) {
 // (and any TTL evictions it triggered) stands — time passed even though
 // the placement was abandoned.
 func (o *OnlineSystem) PublishCtx(ctx context.Context) (*Publication, error) {
-	pub, err := o.sys.PublishCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
-	}
-	return &Publication{
-		Chunk:      pub.Chunk,
-		Time:       pub.Time,
-		CacheNodes: pub.CacheNodes,
-		Expired:    pub.Expired,
-	}, nil
+	return o.a.Publish(ctx, o.chunkTTL)
 }
 
 // Holders returns the nodes currently caching the given chunk.
-func (o *OnlineSystem) Holders(chunk int) []int { return o.sys.Holders(chunk) }
+func (o *OnlineSystem) Holders(chunk int) []int { return o.a.Holders(chunk) }
 
-// OnlineSnapshot is an immutable copy of an online system's committed
-// state, taken between publications. It is the export hook a serving
-// layer needs: answer reads from the snapshot while the next mutation is
-// prepared against the live system.
+// OnlineSnapshot is an immutable copy of a placement engine's state,
+// taken between mutations. It is the export hook a serving layer needs —
+// answer reads from the snapshot while the next mutation is prepared
+// against the live system — and the state AdaptiveSystem.Load installs.
 type OnlineSnapshot struct {
 	// Clock is the number of publications so far.
 	Clock int
-	// Published is the total number of chunk ids ever assigned; ids in
-	// [0, Published) are known to the system even if since expired.
+	// Published is the size of the chunk-id space; ids in [0, Published)
+	// are known to the system even if they hold no copy.
 	Published int
-	// Holders maps each live chunk id to the nodes caching it.
+	// Holders maps each chunk id holding a copy to the nodes caching it.
 	Holders map[int][]int
 	// Counts is the per-node cached-chunk count.
 	Counts []int
+	// Expiry maps each live published chunk to the publication clock at
+	// which it expires.
+	Expiry map[int]int
+	// ExpiredFrom and ExpiredTo bound the published chunk ids whose
+	// lifetime has ended, [ExpiredFrom, ExpiredTo): they hold no copy and
+	// adaptation never re-places them.
+	ExpiredFrom, ExpiredTo int
 }
 
 // Snapshot returns a deep-copied snapshot of the current state. The
 // caller may retain and read it concurrently with later publications.
-func (o *OnlineSystem) Snapshot() *OnlineSnapshot {
-	live := o.sys.Live()
-	holders := make(map[int][]int, len(live))
-	for _, chunk := range live {
-		holders[chunk] = o.sys.Holders(chunk)
+func (o *OnlineSystem) Snapshot() *OnlineSnapshot { return o.a.Snapshot() }
+
+// Live returns the ids of chunks currently cached somewhere, sorted.
+func (o *OnlineSystem) Live() []int {
+	var out []int
+	for k, hs := range o.a.Placement() {
+		if len(hs) > 0 {
+			out = append(out, k)
+		}
 	}
-	return &OnlineSnapshot{
-		Clock:     o.sys.Clock(),
-		Published: o.sys.Published(),
-		Holders:   holders,
-		Counts:    o.sys.Counts(),
-	}
+	return out
 }
 
-// Live returns the ids of chunks currently cached somewhere.
-func (o *OnlineSystem) Live() []int { return o.sys.Live() }
-
 // Counts returns the current per-node cached-chunk counts.
-func (o *OnlineSystem) Counts() []int { return o.sys.Counts() }
+func (o *OnlineSystem) Counts() []int { return o.a.Counts() }
 
 // Gini returns the Gini coefficient of the current caching load.
-func (o *OnlineSystem) Gini() float64 { return metrics.Gini(o.sys.Counts()) }
+func (o *OnlineSystem) Gini() float64 { return o.a.Gini() }
 
 // Clock returns the number of publications so far.
-func (o *OnlineSystem) Clock() int { return o.sys.Clock() }
+func (o *OnlineSystem) Clock() int { return o.a.sys.Publications() }
 
 // SetTopology swaps the network topology (device mobility): subsequent
 // publications place against the new connectivity while cached chunks and
 // their expiry clocks carry over. The node count must stay the same.
 func (o *OnlineSystem) SetTopology(t *Topology) error {
-	if err := o.sys.SetTopology(t.g); err != nil {
+	if err := o.a.sys.SetTopology(t.g); err != nil {
 		return fmt.Errorf("faircache: %w", err)
 	}
-	o.topo = t
+	o.a.topo = t
 	return nil
 }
